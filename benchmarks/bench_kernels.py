@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from typing import Callable
 
 from gaussreal import _pure, diagram_from_word, enumerate_canonical
 from gaussreal.oracle import _endpoints_flat
@@ -61,7 +62,7 @@ def _time(fn, repeat: int) -> float:
     return best
 
 
-def bench_canonical(backend, words) -> float:
+def bench_canonical(backend, words) -> Callable[[], None]:
     def run() -> None:
         for word in words:
             backend.canonical_key(word)
@@ -69,7 +70,7 @@ def bench_canonical(backend, words) -> float:
     return run
 
 
-def bench_oracle(backend, flats) -> float:
+def bench_oracle(backend, flats) -> Callable[[], None]:
     def run() -> None:
         for flat, n in flats:
             backend.find_planar_rotation(flat, n)

@@ -24,5 +24,4 @@ else:
         BACKEND = "pure"
 
 canonical_key = _impl.canonical_key
-count_faces = _impl.count_faces
 find_planar_rotation = _impl.find_planar_rotation

@@ -3,12 +3,13 @@
 These are the two inner loops the package spends nearly all of its time in
 during exhaustive sweeps.  gaussreal._speedups holds a Cython translation
 with identical semantics; gaussreal._kernels picks one at import time.  Keep
-the two implementations in lock step -- the test suite compares them.
+the two implementations in lock step: tests/test_kernels.py compares them
+whenever gaussreal._speedups imports.
 
 Dart/rotation conventions (shared with gaussreal.oracle):
 
 - For a diagram with n chords, circle position i (0..2n-1) is one passage of
-  the curve through crossing ``pos_chord[i]``; edge i is the curve segment
+  the curve through crossing ``position_chord[i]``; edge i is the curve segment
   from position i to position (i+1) mod 2n.
 - Each edge i has two darts: dart 2i sits at the start of the edge (based at
   the vertex visited at position i) and dart 2i+1 at its end (based at the
@@ -32,30 +33,19 @@ from __future__ import annotations
 def canonical_key(index_word) -> tuple:
     """Least first-occurrence relabelling over all rotations and reflections.
 
-    ``index_word`` is the word written as chord indices.  Returns the
-    minimal relabelled variant as a tuple.
+    ``index_word`` is the word written as chord indices.  Every rotation of
+    the word or of its reversal is an m-length window of the doubled word.
     """
     word = tuple(index_word)
     m = len(word)
-    if m == 0:
-        return ()
-    n = m // 2
     best = None
-    for start in range(m):
-        for step in (1, -1):
-            relabel = [-1] * n
-            fresh = 0
-            out = []
-            for k in range(m):
-                sym = word[(start + step * k) % m]
-                lab = relabel[sym]
-                if lab < 0:
-                    relabel[sym] = lab = fresh
-                    fresh += 1
-                out.append(lab)
-            if best is None or out < best:
-                best = out
-    return tuple(best)
+    for doubled in (word * 2, word[::-1] * 2):
+        for start in range(m):
+            first = {}
+            key = [first.setdefault(c, len(first)) for c in doubled[start : start + m]]
+            if best is None or key < best:
+                best = key
+    return tuple(best or ())
 
 
 def _vertex_darts(endpoints_flat, n):
@@ -100,14 +90,6 @@ def _face_count(sigma, num_darts):
             seen[d] = 1
             d = sigma[d ^ 1]
     return faces
-
-
-def count_faces(endpoints_flat, n, mask) -> int:
-    """Face count of the embedding chosen by ``mask`` (bit c = chord c)."""
-    darts = _vertex_darts(endpoints_flat, n)
-    sigma = [0] * (4 * n)
-    _fill_sigma(sigma, darts, mask)
-    return _face_count(sigma, 4 * n)
 
 
 def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:

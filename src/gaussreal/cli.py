@@ -15,7 +15,8 @@ from dataclasses import replace
 
 from . import __version__, codec
 from .contours import colorful_chords, exists_colorful_witness, transfer_witness
-from .core import MalformedWord, UnknownChord, diagram_from_word, interlacement
+from .core import MalformedWord, UnknownChord, diagram_from_word
+from .core import interlacement  # noqa: F401  -- wrapped by perfbench/spans.py
 from .enumeration import (
     SweepConfig,
     cross_validate,
@@ -55,12 +56,11 @@ def _cmd_check(args) -> int:
     if args.batch is not None:
         with open(args.batch, "r", encoding="utf-8") as handle:
             entries = codec.parse_batch(handle.read())
-        diagrams = [(word.text(), diagram_from_word(word)) for _, word in entries]
+        diagrams = [diagram_from_word(word) for _, word in entries]
     else:
-        diagram = _parse_word(args.word)
-        diagrams = [(diagram.word.text(), diagram)]
+        diagrams = [_parse_word(args.word)]
     reports = []
-    for _, diagram in diagrams:
+    for diagram in diagrams:
         report = is_realizable(diagram)
         if args.cross_check:
             check = _cross_check_of(diagram, report)
@@ -172,12 +172,8 @@ def _cmd_witness(args) -> int:
 def _cmd_enumerate(args) -> int:
     rows = []
     for n in range(1, args.max_chords + 1):
-        words = []
-        for diagram in enumerate_canonical(n, args.workers):
-            if args.require_non_isolated and interlacement(diagram).isolated():
-                continue
-            words.append(diagram.word.text())
-        rows.append((n, words))
+        diagrams = enumerate_canonical(n, args.workers, args.require_non_isolated)
+        rows.append((n, [diagram.word.text() for diagram in diagrams]))
     doc = codec.new_document("enumeration")
     doc["max_chords"] = args.max_chords
     doc["require_non_isolated"] = args.require_non_isolated
@@ -203,9 +199,11 @@ def _cmd_cross_validate(args) -> int:
         max_chords=args.max_chords,
         require_non_isolated=args.require_non_isolated,
         workers=args.workers,
-        output_path=args.output,
     )
     report = cross_validate(cfg)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(codec.document_to_json(report.document()))
     if args.counterexamples:
         batch_path, json_path = write_counterexamples(report, args.counterexamples)
         print("wrote %s and %s" % (batch_path, json_path), file=sys.stderr)

@@ -42,6 +42,16 @@ def _matchings(positions: tuple[int, ...]):
             yield (pair,) + tail
 
 
+def _map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, in ``workers`` processes if more than one."""
+    if workers > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(fn, items)
+    return [fn(item) for item in items]
+
+
 def _shard_keys(args) -> set:
     """Canonical keys of every index word whose position 0 pairs with j."""
     n, j = args
@@ -68,24 +78,25 @@ def canonical_keys(n: int, workers: int = 1) -> list[tuple[int, ...]]:
         raise ValueError("chord count must be non-negative")
     if n == 0:
         return [()]
-    shards = [(n, j) for j in range(1, 2 * n)]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_shard_keys, shards)
-    else:
-        parts = [_shard_keys(shard) for shard in shards]
     keys = set()
-    for part in parts:
+    for part in _map(_shard_keys, [(n, j) for j in range(1, 2 * n)], workers):
         keys |= part
     return sorted(keys)
 
 
-def enumerate_canonical(n: int, workers: int = 1) -> Iterator[ChordDiagram]:
-    """One canonical representative per n-chord diagram, in sorted key order."""
+def enumerate_canonical(
+    n: int, workers: int = 1, require_non_isolated: bool = False
+) -> Iterator[ChordDiagram]:
+    """One canonical representative per n-chord diagram, in sorted key order.
+
+    With ``require_non_isolated``, diagrams containing a kink (a chord that
+    crosses no other) are skipped.
+    """
     for key in canonical_keys(n, workers):
-        yield CanonicalForm(key=key).diagram()
+        diagram = CanonicalForm(key=key).diagram()
+        if require_non_isolated and interlacement(diagram).isolated():
+            continue
+        yield diagram
 
 
 @dataclass(frozen=True)
@@ -93,7 +104,6 @@ class SweepConfig:
     max_chords: int
     require_non_isolated: bool = False  # drop diagrams containing kinks
     workers: int = 1
-    output_path: str | None = None  # structured report copy, if set
 
     def __post_init__(self):
         if self.max_chords < 1:
@@ -182,13 +192,10 @@ class SweepReport:
         return lines
 
 
-def _verdict_pair(text: str) -> tuple[str, bool, bool]:
+def _verdict_pair(text: str) -> tuple[bool, bool]:
+    """(criterion verdict, oracle verdict) of one word; text pickles cheaply."""
     diagram = diagram_from_word(text)
-    return (
-        text,
-        is_realizable(diagram).realizable,
-        oracle_realizable(diagram) is not None,
-    )
+    return is_realizable(diagram).realizable, oracle_realizable(diagram) is not None
 
 
 def cross_validate(cfg: SweepConfig) -> SweepReport:
@@ -196,21 +203,14 @@ def cross_validate(cfg: SweepConfig) -> SweepReport:
     start = time.perf_counter()
     rows = []
     for n in range(1, cfg.max_chords + 1):
-        words = []
-        for diagram in enumerate_canonical(n, cfg.workers):
-            if cfg.require_non_isolated and interlacement(diagram).isolated():
-                continue
-            words.append(diagram.word.text())
-        if cfg.workers > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(cfg.workers) as pool:
-                verdicts = pool.map(_verdict_pair, words)
-        else:
-            verdicts = [_verdict_pair(text) for text in words]
+        words = [
+            diagram.word.text()
+            for diagram in enumerate_canonical(n, cfg.workers, cfg.require_non_isolated)
+        ]
+        verdicts = _map(_verdict_pair, words, cfg.workers)
         realizable = 0
         disagreements = []
-        for text, by_criterion, by_oracle in verdicts:
+        for text, (by_criterion, by_oracle) in zip(words, verdicts):
             realizable += by_criterion
             if by_criterion != by_oracle:
                 diagram = diagram_from_word(text)
@@ -230,16 +230,12 @@ def cross_validate(cfg: SweepConfig) -> SweepReport:
                 disagreements=tuple(disagreements),
             )
         )
-    report = SweepReport(
+    return SweepReport(
         max_chords=cfg.max_chords,
         require_non_isolated=cfg.require_non_isolated,
         rows=tuple(rows),
         wall_time=time.perf_counter() - start,
     )
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
-            handle.write(codec.document_to_json(report.document()))
-    return report
 
 
 def write_counterexamples(report: SweepReport, path: str) -> tuple[str, str]:

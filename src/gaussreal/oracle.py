@@ -45,7 +45,6 @@ class FourValentMap:
     """The 4-valent graph of a diagram plus its dart structure."""
 
     n: int
-    pos_chord: tuple[int, ...]  # circle position -> vertex (chord index)
     vertex_darts: tuple[tuple[int, int, int, int], ...]  # (in_f, out_f, in_s, out_s)
 
     @property
@@ -59,11 +58,6 @@ class FourValentMap:
     @property
     def num_darts(self) -> int:
         return 4 * self.n
-
-    def dart_base(self, dart: int) -> int:
-        """Vertex a dart emanates from."""
-        edge, end = divmod(dart, 2)
-        return self.pos_chord[(edge + end) % (2 * self.n)]
 
 
 @dataclass(frozen=True)
@@ -115,11 +109,7 @@ def build_map(diagram: ChordDiagram) -> FourValentMap:
     darts = []
     for f, s in diagram.endpoints:
         darts.append((2 * ((f - 1) % m) + 1, 2 * f, 2 * ((s - 1) % m) + 1, 2 * s))
-    return FourValentMap(
-        n=diagram.n,
-        pos_chord=diagram.position_chord,
-        vertex_darts=tuple(darts),
-    )
+    return FourValentMap(n=diagram.n, vertex_darts=tuple(darts))
 
 
 def _sigma(fmap: FourValentMap, rotation: RotationSystem) -> list[int]:

@@ -202,12 +202,38 @@ def test_enumerate_writes_output_file(tmp_path, capsys):
     assert target.read_text().splitlines()[-1] == "1 2 1 2"
 
 
+def test_enumerate_require_non_isolated_drops_kinked_diagrams(capsys):
+    code, out, _ = _run(capsys, "enumerate", "--max-chords", "3", "--require-non-isolated")
+    assert code == 0
+    assert out.splitlines() == [
+        "# n=1: 0 diagrams",
+        "# n=2: 1 diagrams",
+        "1 2 1 2",
+        "# n=3: 2 diagrams",
+        "1 2 1 3 2 3",
+        "1 2 3 1 2 3",
+    ]
+
+
 def test_cross_validate_text_summary(capsys):
     code, out, _ = _run(capsys, "cross-validate", "--max-chords", "2")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n=1: 1 diagrams, 1 realizable, 0 non-realizable, 0 disagreements"
     assert lines[-1].startswith("total: 3 diagrams, 0 disagreements")
+
+
+def test_cross_validate_output_holds_the_structured_report(tmp_path, capsys):
+    target = tmp_path / "sweep.json"
+    code, out, _ = _run(capsys, "cross-validate", "--max-chords", "3", "--output", str(target))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[2] == "n=3: 5 diagrams, 3 realizable, 2 non-realizable, 0 disagreements"
+    assert lines[-1].startswith("total: 8 diagrams, 0 disagreements")
+    _, structured, _ = _run(capsys, "cross-validate", "--max-chords", "3", "--format", "structured")
+    assert target.read_text() == structured
+    assert json.loads(structured)["kind"] == "cross-validation"
 
 
 def test_cross_validate_counterexample_files(tmp_path, capsys):

@@ -108,12 +108,6 @@ def test_report_document_shape():
     assert doc["total_disagreements"] == 0
 
 
-def test_output_path_receives_the_document(tmp_path):
-    target = tmp_path / "sweep.json"
-    report = cross_validate(SweepConfig(max_chords=2, output_path=str(target)))
-    assert json.loads(target.read_text()) == report.document()
-
-
 def test_summary_lines_mention_every_size():
     report = cross_validate(SweepConfig(max_chords=2))
     assert report.summary_lines()[:2] == [
