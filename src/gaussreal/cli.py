@@ -4,7 +4,9 @@ Every subcommand reads Gauss codes in the formats of ``gaussreal.codec``
 and writes either a short text rendering (default) or a structured JSON
 document (``--format structured``).  Exit status: 0 on success (for
 ``check``: a realizable verdict), 1 when ``check`` concludes
-non-realizable, 2 on unusable input.
+non-realizable, 2 on unusable input.  Under ``check --cross-check`` a word
+too large for the oracle keeps ``cross_check: null`` and a warning on
+stderr; its verdict still sets the exit status like any other.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import __version__, codec
+from . import KERNEL_BACKEND, __version__, codec
 from .contours import colorful_chords, exists_colorful_witness, transfer_witness
 from .core import MalformedWord, UnknownChord, diagram_from_word
 from .core import interlacement  # noqa: F401  -- wrapped by perfbench/spans.py
@@ -63,13 +65,21 @@ def _cmd_check(args) -> int:
     for diagram in diagrams:
         report = is_realizable(diagram)
         if args.cross_check:
-            check = _cross_check_of(diagram, report)
-            report = replace(report, cross_check=check)
-            if not check.agrees:
+            try:
+                check = _cross_check_of(diagram, report)
+            except OracleBudgetExceeded as exc:
                 print(
-                    "warning: oracle disagrees on %r" % diagram.word.text(),
+                    "warning: oracle skipped on %r: %s"
+                    % (diagram.word.text(), exc.args[0]),
                     file=sys.stderr,
                 )
+            else:
+                report = replace(report, cross_check=check)
+                if not check.agrees:
+                    print(
+                        "warning: oracle disagrees on %r" % diagram.word.text(),
+                        file=sys.stderr,
+                    )
         reports.append(report)
     if args.batch is not None:
         doc = codec.new_document("realizability-batch")
@@ -217,7 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decide plane-curve realizability of Gauss diagrams.",
     )
     parser.add_argument(
-        "--version", action="version", version="%(prog)s " + __version__
+        "--version",
+        action="version",
+        version="%%(prog)s %s (kernels: %s)" % (__version__, KERNEL_BACKEND),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,9 +15,14 @@ possibly inside a named smoothing — with enough payload (the exact
 crossing sets and the smoothed word) for ``verify_witness`` to re-check
 by recomputation without repeating the search.
 
-Everything here rides on the word rule for smoothing and on chord labels;
-the rotation-system route in ``gaussreal.oracle`` shares none of this
-code and is used to cross-validate these verdicts exhaustively.
+Verdicts ride on the crossing relation as one bitset row per chord, read
+as a symmetric matrix A over GF(2): the even condition says exactly that
+A² ⊆ A entrywise (de Fraysseix & Ossona de Mendez, "On a characterization
+of Gauss codes", 1999), and smoothings are taken by the toggle rule on
+those rows.  Witnesses ride on the word rule for smoothing and on chord
+labels, and are built only for the first check that fails.  The
+rotation-system route in ``gaussreal.oracle`` shares none of this code
+and is used to cross-validate these verdicts exhaustively.
 """
 
 from __future__ import annotations
@@ -222,6 +227,57 @@ class RealizabilityReport:
         }
 
 
+def _crossing_rows(diagram: ChordDiagram) -> list[int]:
+    """Bit b of ``rows[a]`` is set iff chords a and b cross.
+
+    ``prefix[p]`` is the XOR of ``1 << chord`` over the positions before p,
+    so ``prefix[q] ^ prefix[p + 1]`` keeps exactly the chords with one
+    endpoint strictly between p and q.
+    """
+    prefix = [0]
+    for c in diagram.position_chord:
+        prefix.append(prefix[-1] ^ (1 << c))
+    return [prefix[q] ^ prefix[p + 1] for p, q in diagram.endpoints]
+
+
+def _even(rows: list[int]) -> bool:
+    """The even condition on crossing rows, as A² ⊆ A over GF(2).
+
+    Bit x of the XOR of ``rows[b]`` over the chords b crossing a is the
+    parity of the partners a and x share; bit a is the parity of a's own
+    crossing count.  So every set bit outside ``rows[a]`` is a violation.
+    """
+    for row in rows:
+        square = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            square ^= rows[low.bit_length() - 1]
+            rest ^= low
+        if square & ~row:
+            return False
+    return True
+
+
+def _smoothed_rows(rows: list[int], c: int) -> list[int]:
+    """Crossing rows after smoothing chord c, by the toggle rule.
+
+    Every two chords that both crossed c flip their relation, and c is
+    deleted: its row becomes empty and its bit is cleared everywhere.  An
+    empty row is an isolated chord, which never breaks the even condition,
+    so the rows keep their indices.
+    """
+    bit = 1 << c
+    flip = rows[c]
+    out = []
+    for a, row in enumerate(rows):
+        if row & bit:
+            row ^= flip ^ (1 << a)
+        out.append(row & ~bit)
+    out[c] = 0
+    return out
+
+
 def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
     """Drop every chord that crosses nothing.
 
@@ -229,14 +285,13 @@ def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
     which of the remaining chords interleave, so no new isolated chords
     can appear.
     """
-    inter = interlacement(diagram)
-    kinks = inter.isolated()
-    if not kinks:
+    rows = _crossing_rows(diagram)
+    if all(rows):
         return diagram
     keep = tuple(
         s
         for p, s in enumerate(diagram.word.symbols)
-        if diagram.position_chord[p] not in kinks
+        if rows[diagram.position_chord[p]]
     )
     return diagram_from_word(GaussWord(keep))
 
@@ -244,26 +299,27 @@ def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
 def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     """Decide realizability: even condition for the diagram and all smoothings.
 
-    The verdict is computed on the kink-free diagram.  The witness for a
+    The verdict is computed on the crossing rows of the kink-free diagram,
+    with each smoothing taken by the toggle rule.  The witness for a
     non-realizable verdict is the least one in search order: a violation
     of the diagram itself if there is one, otherwise the first chord (in
-    word order) whose smoothing violates, with that smoothing's full
-    violation list.
+    index order) whose smoothing violates, with that smoothing's full
+    violation list.  Only that witness is labelled, through
+    ``even_condition`` and the word rule.
     """
     reduced = remove_isolated(diagram)
-    base = even_condition(reduced)
+    rows = _crossing_rows(reduced)
     witness: EvenConditionViolation | SmoothingViolation | None = None
-    if not base.holds:
-        witness = EvenConditionViolation(report=base)
+    if not _even(rows):
+        witness = EvenConditionViolation(report=even_condition(reduced))
     else:
         for c in range(reduced.n):
-            result = smooth_by_word(reduced, reduced.labels[c])
-            report = even_condition(result.diagram)
-            if not report.holds:
+            if not _even(_smoothed_rows(rows, c)):
+                result = smooth_by_word(reduced, reduced.labels[c])
                 witness = SmoothingViolation(
                     chord=reduced.labels[c],
                     smoothed_word=result.word,
-                    report=report,
+                    report=even_condition(result.diagram),
                 )
                 break
     return RealizabilityReport(

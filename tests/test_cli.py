@@ -4,11 +4,14 @@ import json
 
 import pytest
 
+from gaussreal import KERNEL_BACKEND
 from gaussreal.cli import main
 
 EVEN_NONREAL_6 = "1 2 3 4 5 6 2 1 4 3 6 5"
 EVEN_NONREAL_8 = "0 1 2 3 4 5 6 0 1 7 3 2 5 6 7 4"
 TREFOIL = "1 2 3 1 2 3"
+# Every chord crosses the other 24: realizable, one chord past the oracle.
+STAR_25 = " ".join([str(c) for c in range(25)] * 2)
 
 
 def _run(capsys, *argv):
@@ -21,7 +24,9 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert "gaussreal 0.1.0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "gaussreal 0.1.0" in out
+    assert "(kernels: %s)" % KERNEL_BACKEND in out
 
 
 def test_check_realizable_exits_zero(capsys):
@@ -113,6 +118,39 @@ def test_cross_check_on_a_realizable_word(capsys):
     assert doc["cross_check"]["agrees"] is True
     assert doc["cross_check"]["realizable"] is True
     assert isinstance(doc["cross_check"]["handedness"], list)
+
+
+def test_cross_check_skips_the_oracle_per_word_past_its_limit(tmp_path, capsys):
+    batch = tmp_path / "words.txt"
+    batch.write_text("%s\n%s\n1 2 1 2\n" % (TREFOIL, STAR_25))
+    code, out, err = _run(
+        capsys,
+        "check",
+        "--batch",
+        str(batch),
+        "--cross-check",
+        "--format",
+        "structured",
+    )
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    assert [r["word"] for r in reports] == [TREFOIL, STAR_25, "1 2 1 2"]
+    assert [r["verdict"] for r in reports] == [
+        "realizable",
+        "realizable",
+        "non-realizable",
+    ]
+    assert [r["cross_check"] is None for r in reports] == [False, True, False]
+    assert err == (
+        "warning: oracle skipped on '%s': rotation search over 2**25"
+        " assignments refused (limit n <= 24)\n" % STAR_25
+    )
+
+
+def test_oracle_past_its_limit_exits_two(capsys):
+    code, out, err = _run(capsys, "oracle", STAR_25)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rotation search over 2**25")
 
 
 def test_malformed_word_exits_two(capsys):

@@ -1,0 +1,130 @@
+"""The bitset criterion against the labelled word-rule search it replaced.
+
+``is_realizable`` decides on GF(2) crossing rows and labels only the first
+failure.  ``_word_rule_reference`` keeps the plain search (the even
+condition of the diagram, then of every smoothing built by the word
+rule) as the reference: both must give the same document on every input.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaussreal import diagram_from_word, even_condition, interlacement, is_realizable
+from gaussreal.realizability import (
+    EvenConditionViolation,
+    RealizabilityReport,
+    SmoothingViolation,
+    _crossing_rows,
+    _even,
+    _smoothed_rows,
+    remove_isolated,
+)
+from gaussreal.smoothing import smooth_by_word
+
+MAX_CHORDS = 7
+
+
+def _word_rule_reference(diagram) -> RealizabilityReport:
+    reduced = remove_isolated(diagram)
+    base = even_condition(reduced)
+    witness = None
+    if not base.holds:
+        witness = EvenConditionViolation(report=base)
+    else:
+        for c in range(reduced.n):
+            result = smooth_by_word(reduced, reduced.labels[c])
+            report = even_condition(result.diagram)
+            if not report.holds:
+                witness = SmoothingViolation(
+                    chord=reduced.labels[c],
+                    smoothed_word=result.word,
+                    report=report,
+                )
+                break
+    return RealizabilityReport(
+        word=diagram.word,
+        kink_free_word=reduced.word,
+        realizable=witness is None,
+        witness=witness,
+    )
+
+
+def _assert_same_report(diagram) -> None:
+    expected = _word_rule_reference(diagram).document()
+    assert is_realizable(diagram).document() == expected, diagram.word.text()
+
+
+def _rows_of(diagram, size, index_of) -> list[int]:
+    """Crossing rows from ``interlacement``, chord a renamed ``index_of[a]``."""
+    rows = [0] * size
+    for a, crossings in enumerate(interlacement(diagram).crossings):
+        rows[index_of[a]] = sum(1 << index_of[b] for b in crossings)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def pools(canonical_by_n) -> dict[str, list]:
+    """Canonical diagrams with at least one chord, by reference verdict kind."""
+    out: dict[str, list] = {}
+    for n in range(1, MAX_CHORDS + 1):
+        for d in canonical_by_n(n):
+            witness = _word_rule_reference(d).witness
+            kind = "realizable" if witness is None else type(witness).__name__
+            out.setdefault(kind, []).append(d)
+    return out
+
+
+def test_documents_match_on_every_canonical_diagram(canonical_by_n):
+    for n in range(MAX_CHORDS + 1):
+        for d in canonical_by_n(n):
+            _assert_same_report(d)
+
+
+def test_documents_match_on_star_words_past_one_machine_word():
+    # Every chord of 0 .. k-1 0 .. k-1 crosses all the others: odd k is
+    # realizable and even k fails on chord 0, with rows of k bits.
+    for k in (63, 64, 65, 66):
+        star = " ".join([str(c) for c in range(k)] * 2)
+        _assert_same_report(diagram_from_word(star))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_documents_match_on_rotated_relabelled_kinked_words(pools, data):
+    # Base failures dominate the canonical diagrams, so draw the verdict
+    # kind first: realizable words and smoothing witnesses get their share.
+    kind = data.draw(st.sampled_from(sorted(pools)))
+    tokens = data.draw(st.sampled_from(pools[kind])).word.text().split()
+    shift = data.draw(st.integers(0, max(len(tokens) - 1, 0)))
+    tokens = tokens[shift:] + tokens[:shift]
+    if data.draw(st.booleans()):
+        tokens.reverse()
+    names = data.draw(st.permutations([str(100 + c) for c in range(MAX_CHORDS)]))
+    tokens = [names[int(t) - 1] for t in tokens]
+    kinks = st.lists(st.integers(0, 2 * MAX_CHORDS), max_size=3, unique=True)
+    for kink in data.draw(kinks):
+        j = data.draw(st.integers(0, len(tokens)))
+        tokens[j:j] = ["k%d" % kink] * 2
+    _assert_same_report(diagram_from_word(" ".join(tokens)))
+
+
+def test_bitset_even_condition_matches_the_labelled_one(canonical_by_n):
+    for n in range(1, MAX_CHORDS):
+        for d in canonical_by_n(n):
+            rows = _crossing_rows(d)
+            assert rows == _rows_of(d, d.n, range(d.n)), d.word.text()
+            assert _even(rows) == even_condition(d).holds, d.word.text()
+
+
+def test_toggled_rows_match_the_word_rule_smoothing(canonical_by_n):
+    for n in range(1, MAX_CHORDS):
+        for d in canonical_by_n(n):
+            rows = _crossing_rows(d)
+            for c, label in enumerate(d.labels):
+                smoothed = smooth_by_word(d, label).diagram
+                index_of = [d.index_of(lab) for lab in smoothed.labels]
+                expected = _rows_of(smoothed, d.n, index_of)
+                assert _smoothed_rows(rows, c) == expected, (d.word.text(), label)
