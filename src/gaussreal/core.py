@@ -13,8 +13,12 @@ Conventions used throughout the package:
   with ``p < q``.  Positions are 0..2n-1 counted along the stored word.
 
 - Chords a and b are *interlaced* (they cross) when exactly one endpoint of
-  b lies strictly between the endpoints of a along the circle.  ``a_cross``
-  denotes the set of chords crossing a.
+  b lies strictly between the endpoints of a along the circle.  The
+  crossing relation is stored once, as one int row per chord: bit b of
+  ``rows[a]`` is set iff a and b cross.  Read as a symmetric matrix over
+  GF(2), these rows are what the criterion and the toggle rule work on;
+  ``Interlacement.crossings`` decodes them into index sets for callers
+  that want sets.
 
 - The canonical form of a word is the lexicographically least sequence of
   first-occurrence indices over all 2n rotations and both reading
@@ -144,42 +148,57 @@ def word_from_positions(n: int, position_chord, labels=None) -> GaussWord:
     return GaussWord.from_tokens(labels[c] for c in position_chord)
 
 
+def iter_bits(row: int):
+    """Indices of the set bits of ``row``, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 @dataclass(frozen=True)
 class Interlacement:
-    """The crossing relation of a diagram, as one chord-index set per chord."""
+    """The crossing relation of a diagram, as one bitset row per chord."""
 
-    crossings: tuple[frozenset[int], ...]
+    rows: tuple[int, ...]  # bit b of rows[a] is set iff chords a and b cross
 
     @property
     def n(self) -> int:
-        return len(self.crossings)
+        return len(self.rows)
 
     def cross(self, a: int, b: int) -> bool:
-        return b in self.crossings[a]
+        return bool(self.rows[a] >> b & 1)
 
     def isolated(self) -> frozenset[int]:
-        return frozenset(c for c, s in enumerate(self.crossings) if not s)
+        return frozenset(c for c, row in enumerate(self.rows) if not row)
+
+    @cached_property
+    def crossings(self) -> tuple[frozenset[int], ...]:
+        """The rows decoded into one chord-index set per chord."""
+        return tuple(frozenset(iter_bits(row)) for row in self.rows)
 
 
 def interlacement(diagram: ChordDiagram) -> Interlacement:
-    """Compute which chords cross: exactly one endpoint strictly inside."""
-    n = diagram.n
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for a in range(n):
-        p, q = diagram.endpoints[a]
-        for b in range(a + 1, n):
-            r, s = diagram.endpoints[b]
-            if (p < r < q) != (p < s < q):
-                sets[a].add(b)
-                sets[b].add(a)
-    return Interlacement(tuple(frozenset(s) for s in sets))
+    """Compute which chords cross: exactly one endpoint strictly inside.
+
+    ``prefix[p]`` is the XOR of ``1 << chord`` over the positions before p,
+    so ``prefix[q] ^ prefix[p + 1]`` keeps exactly the chords with one
+    endpoint strictly between p and q.
+    """
+    prefix = [0]
+    for c in diagram.position_chord:
+        prefix.append(prefix[-1] ^ (1 << c))
+    return Interlacement(
+        tuple(prefix[q] ^ prefix[p + 1] for p, q in diagram.endpoints)
+    )
 
 
 def crossing_labels(diagram: ChordDiagram, inter: Interlacement) -> dict[str, frozenset[str]]:
     """The crossing relation keyed by labels instead of indices."""
+    labels = diagram.labels
     return {
-        diagram.labels[c]: frozenset(diagram.labels[d] for d in inter.crossings[c])
-        for c in range(diagram.n)
+        labels[c]: frozenset(labels[d] for d in iter_bits(row))
+        for c, row in enumerate(inter.rows)
     }
 
 

@@ -15,12 +15,13 @@ possibly inside a named smoothing — with enough payload (the exact
 crossing sets and the smoothed word) for ``verify_witness`` to re-check
 by recomputation without repeating the search.
 
-Verdicts ride on the crossing relation as one bitset row per chord, read
-as a symmetric matrix A over GF(2): the even condition says exactly that
-A² ⊆ A entrywise (de Fraysseix & Ossona de Mendez, "On a characterization
-of Gauss codes", 1999), and smoothings are taken by the toggle rule on
-those rows.  Witnesses ride on the word rule for smoothing and on chord
-labels, and are built only for the first check that fails.  The
+Verdicts ride on the crossing rows of ``gaussreal.core`` (one bitset row
+per chord), read as a symmetric matrix A over GF(2): the even condition
+says exactly that A² ⊆ A entrywise (de Fraysseix & Ossona de Mendez, "On
+a characterization of Gauss codes", 1999), and smoothings are taken by
+``smoothing.toggle_rows``, the same toggle that the standing word-rule
+cross-check exercises.  Witnesses ride on the word rule for smoothing and
+on chord labels, and are built only for the first check that fails.  The
 rotation-system route in ``gaussreal.oracle`` shares none of this code
 and is used to cross-validate these verdicts exhaustively.
 """
@@ -32,12 +33,12 @@ from dataclasses import dataclass
 from .core import (
     ChordDiagram,
     GaussWord,
-    Interlacement,
     _label_key,
     diagram_from_word,
     interlacement,
+    iter_bits,
 )
-from .smoothing import smooth_by_word
+from .smoothing import smooth_by_word, toggle_rows
 
 
 class WitnessMismatch(ValueError):
@@ -109,9 +110,7 @@ class EvenConditionReport:
         }
 
 
-def even_condition(
-    diagram: ChordDiagram, inter: Interlacement | None = None
-) -> EvenConditionReport:
+def even_condition(diagram: ChordDiagram) -> EvenConditionReport:
     """Check both parities on the diagram exactly as given.
 
     Isolated chords take part like any others: their crossing sets are
@@ -119,13 +118,12 @@ def even_condition(
     involving them share zero partners.  Violations are listed in label
     order, chord violations before pair violations.
     """
-    if inter is None:
-        inter = interlacement(diagram)
+    rows = interlacement(diagram).rows
     labels = diagram.labels
     chord_violations = []
-    for c in range(diagram.n):
-        if len(inter.crossings[c]) % 2:
-            names = sorted((labels[x] for x in inter.crossings[c]), key=_label_key)
+    for c, row in enumerate(rows):
+        if row.bit_count() % 2:
+            names = sorted((labels[x] for x in iter_bits(row)), key=_label_key)
             chord_violations.append(
                 ChordParityViolation(chord=labels[c], crossings=tuple(names))
             )
@@ -133,12 +131,12 @@ def even_condition(
     pair_violations = []
     for a in range(diagram.n):
         for b in range(a + 1, diagram.n):
-            if inter.cross(a, b):
+            if rows[a] >> b & 1:
                 continue
-            shared = inter.crossings[a] & inter.crossings[b]
-            if len(shared) % 2:
+            shared = rows[a] & rows[b]
+            if shared.bit_count() % 2:
                 pair = sorted((labels[a], labels[b]), key=_label_key)
-                names = sorted((labels[x] for x in shared), key=_label_key)
+                names = sorted((labels[x] for x in iter_bits(shared)), key=_label_key)
                 pair_violations.append(
                     PairParityViolation(pair=tuple(pair), shared=tuple(names))
                 )
@@ -227,20 +225,7 @@ class RealizabilityReport:
         }
 
 
-def _crossing_rows(diagram: ChordDiagram) -> list[int]:
-    """Bit b of ``rows[a]`` is set iff chords a and b cross.
-
-    ``prefix[p]`` is the XOR of ``1 << chord`` over the positions before p,
-    so ``prefix[q] ^ prefix[p + 1]`` keeps exactly the chords with one
-    endpoint strictly between p and q.
-    """
-    prefix = [0]
-    for c in diagram.position_chord:
-        prefix.append(prefix[-1] ^ (1 << c))
-    return [prefix[q] ^ prefix[p + 1] for p, q in diagram.endpoints]
-
-
-def _even(rows: list[int]) -> bool:
+def _even(rows) -> bool:
     """The even condition on crossing rows, as A² ⊆ A over GF(2).
 
     Bit x of the XOR of ``rows[b]`` over the chords b crossing a is the
@@ -259,25 +244,6 @@ def _even(rows: list[int]) -> bool:
     return True
 
 
-def _smoothed_rows(rows: list[int], c: int) -> list[int]:
-    """Crossing rows after smoothing chord c, by the toggle rule.
-
-    Every two chords that both crossed c flip their relation, and c is
-    deleted: its row becomes empty and its bit is cleared everywhere.  An
-    empty row is an isolated chord, which never breaks the even condition,
-    so the rows keep their indices.
-    """
-    bit = 1 << c
-    flip = rows[c]
-    out = []
-    for a, row in enumerate(rows):
-        if row & bit:
-            row ^= flip ^ (1 << a)
-        out.append(row & ~bit)
-    out[c] = 0
-    return out
-
-
 def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
     """Drop every chord that crosses nothing.
 
@@ -285,7 +251,7 @@ def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
     which of the remaining chords interleave, so no new isolated chords
     can appear.
     """
-    rows = _crossing_rows(diagram)
+    rows = interlacement(diagram).rows
     if all(rows):
         return diagram
     keep = tuple(
@@ -308,13 +274,13 @@ def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     ``even_condition`` and the word rule.
     """
     reduced = remove_isolated(diagram)
-    rows = _crossing_rows(reduced)
+    rows = interlacement(reduced).rows
     witness: EvenConditionViolation | SmoothingViolation | None = None
     if not _even(rows):
         witness = EvenConditionViolation(report=even_condition(reduced))
     else:
         for c in range(reduced.n):
-            if not _even(_smoothed_rows(rows, c)):
+            if not _even(toggle_rows(rows, c)):
                 result = smooth_by_word(reduced, reduced.labels[c])
                 witness = SmoothingViolation(
                     chord=reduced.labels[c],
@@ -330,12 +296,12 @@ def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     )
 
 
-def _check_violation(diagram, inter, violation) -> None:
+def _check_violation(diagram, rows, violation) -> None:
     labels = diagram.labels
     if isinstance(violation, ChordParityViolation):
         c = diagram.index_of(violation.chord)
         names = tuple(
-            sorted((labels[x] for x in inter.crossings[c]), key=_label_key)
+            sorted((labels[x] for x in iter_bits(rows[c])), key=_label_key)
         )
         if names != violation.crossings:
             raise WitnessMismatch(
@@ -349,10 +315,10 @@ def _check_violation(diagram, inter, violation) -> None:
         return
     a = diagram.index_of(violation.pair[0])
     b = diagram.index_of(violation.pair[1])
-    if inter.cross(a, b):
+    if rows[a] >> b & 1:
         raise WitnessMismatch("pair (%s, %s) crosses" % violation.pair)
-    shared = inter.crossings[a] & inter.crossings[b]
-    names = tuple(sorted((labels[x] for x in shared), key=_label_key))
+    shared = rows[a] & rows[b]
+    names = tuple(sorted((labels[x] for x in iter_bits(shared)), key=_label_key))
     if names != violation.shared:
         raise WitnessMismatch(
             "pair (%s, %s) shares %s, not %s"
@@ -397,7 +363,7 @@ def verify_witness(diagram: ChordDiagram, report: RealizabilityReport) -> bool:
     violations = witness.report.violations
     if not violations:
         raise WitnessMismatch("witness names no violation")
-    inter = interlacement(target)
+    rows = interlacement(target).rows
     for violation in violations:
-        _check_violation(target, inter, violation)
+        _check_violation(target, rows, violation)
     return True

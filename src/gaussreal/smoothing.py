@@ -7,10 +7,13 @@ smoothed word is W1 (reverse of W2) W3.
 
 The same operation acts on the crossing relation alone: delete c and flip
 "crosses"/"does not cross" for every pair of chords that both crossed c;
-all other pairs keep their relation.  ``smooth_by_toggle`` implements this
-second description directly and deliberately shares no code with
-``smooth_by_word`` -- agreement of the two routes on every diagram is one
-of the package's standing cross-checks.
+all other pairs keep their relation.  ``toggle_rows`` applies this second
+description to the crossing rows of ``gaussreal.core`` and is the one
+implementation of it: ``is_realizable`` decides every smoothing with it,
+and ``smooth_by_toggle`` wraps it for single chords.  It deliberately
+shares no code with ``smooth_by_word`` -- agreement of the two routes on
+every diagram is one of the package's standing cross-checks, so that
+check covers the toggle that decides verdicts.
 """
 
 from __future__ import annotations
@@ -52,6 +55,25 @@ def smooth_by_word(diagram: ChordDiagram, chord: str) -> SmoothingResult:
     )
 
 
+def toggle_rows(rows, c: int) -> list[int]:
+    """Crossing rows after smoothing chord c, by the toggle rule.
+
+    Every two chords that both crossed c flip their relation, and c is
+    deleted: its row becomes empty and its bit is cleared everywhere.  An
+    empty row is an isolated chord, which never breaks the even condition,
+    so the rows keep their indices.
+    """
+    bit = 1 << c
+    flip = rows[c]
+    out = []
+    for a, row in enumerate(rows):
+        if row & bit:
+            row ^= flip ^ (1 << a)
+        out.append(row & ~bit)
+    out[c] = 0
+    return out
+
+
 def smooth_by_toggle(diagram: ChordDiagram, chord: str) -> Interlacement:
     """Smooth ``chord`` on the crossing relation only.
 
@@ -60,22 +82,10 @@ def smooth_by_toggle(diagram: ChordDiagram, chord: str) -> Interlacement:
     use ``surviving_labels`` for the matching label order.
     """
     idx = diagram.index_of(chord)
-    inter = interlacement(diagram)
-    affected = inter.crossings[idx]
-    keep = [c for c in range(diagram.n) if c != idx]
-    renumber = {c: i for i, c in enumerate(keep)}
-    sets: list[set[int]] = [set() for _ in keep]
-    for a in keep:
-        for b in keep:
-            if b <= a:
-                continue
-            crossed = inter.cross(a, b)
-            if a in affected and b in affected:
-                crossed = not crossed
-            if crossed:
-                sets[renumber[a]].add(renumber[b])
-                sets[renumber[b]].add(renumber[a])
-    return Interlacement(tuple(frozenset(s) for s in sets))
+    low = (1 << idx) - 1
+    rows = toggle_rows(interlacement(diagram).rows, idx)
+    del rows[idx]
+    return Interlacement(tuple(row & low | row >> 1 & ~low for row in rows))
 
 
 def surviving_labels(diagram: ChordDiagram, chord: str) -> tuple[str, ...]:

@@ -4,6 +4,8 @@
 failure.  ``_word_rule_reference`` keeps the plain search (the even
 condition of the diagram, then of every smoothing built by the word
 rule) as the reference: both must give the same document on every input.
+``_pairwise_rows`` keeps the definition of crossing ("exactly one endpoint
+strictly inside") as the reference for the rows ``interlacement`` builds.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from gaussreal.realizability import (
     EvenConditionViolation,
     RealizabilityReport,
     SmoothingViolation,
-    _crossing_rows,
     _even,
-    _smoothed_rows,
     remove_isolated,
 )
-from gaussreal.smoothing import smooth_by_word
+from gaussreal.smoothing import smooth_by_word, toggle_rows
 
 MAX_CHORDS = 7
 
@@ -57,11 +57,17 @@ def _assert_same_report(diagram) -> None:
     assert is_realizable(diagram).document() == expected, diagram.word.text()
 
 
-def _rows_of(diagram, size, index_of) -> list[int]:
-    """Crossing rows from ``interlacement``, chord a renamed ``index_of[a]``."""
+def _pairwise_rows(diagram, size, index_of) -> list[int]:
+    """Crossing rows by definition, chord a renamed ``index_of[a]``.
+
+    Chords a and b cross when exactly one endpoint of b lies strictly
+    between the endpoints of a.
+    """
     rows = [0] * size
-    for a, crossings in enumerate(interlacement(diagram).crossings):
-        rows[index_of[a]] = sum(1 << index_of[b] for b in crossings)
+    for a, (p, q) in enumerate(diagram.endpoints):
+        for b, (r, s) in enumerate(diagram.endpoints):
+            if (p < r < q) != (p < s < q):
+                rows[index_of[a]] |= 1 << index_of[b]
     return rows
 
 
@@ -111,20 +117,32 @@ def test_documents_match_on_rotated_relabelled_kinked_words(pools, data):
     _assert_same_report(diagram_from_word(" ".join(tokens)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    tokens=st.integers(0, 80).flatmap(
+        lambda n: st.permutations([str(c) for c in range(n)] * 2)
+    )
+)
+def test_interlacement_rows_match_the_pairwise_definition(tokens):
+    # Rows past 64 bits span several machine words.
+    d = diagram_from_word(" ".join(tokens))
+    assert list(interlacement(d).rows) == _pairwise_rows(d, d.n, range(d.n))
+
+
 def test_bitset_even_condition_matches_the_labelled_one(canonical_by_n):
     for n in range(1, MAX_CHORDS):
         for d in canonical_by_n(n):
-            rows = _crossing_rows(d)
-            assert rows == _rows_of(d, d.n, range(d.n)), d.word.text()
+            rows = interlacement(d).rows
+            assert list(rows) == _pairwise_rows(d, d.n, range(d.n)), d.word.text()
             assert _even(rows) == even_condition(d).holds, d.word.text()
 
 
 def test_toggled_rows_match_the_word_rule_smoothing(canonical_by_n):
     for n in range(1, MAX_CHORDS):
         for d in canonical_by_n(n):
-            rows = _crossing_rows(d)
+            rows = interlacement(d).rows
             for c, label in enumerate(d.labels):
                 smoothed = smooth_by_word(d, label).diagram
                 index_of = [d.index_of(lab) for lab in smoothed.labels]
-                expected = _rows_of(smoothed, d.n, index_of)
-                assert _smoothed_rows(rows, c) == expected, (d.word.text(), label)
+                expected = _pairwise_rows(smoothed, d.n, index_of)
+                assert toggle_rows(rows, c) == expected, (d.word.text(), label)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaussreal import (
     GaussWord,
@@ -89,3 +89,17 @@ def test_both_routes_agree_on_random_words(case):
     tokens, chord = case
     d = diagram_from_word(GaussWord(tuple(tokens)))
     assert _routes_agree(d, d.labels[chord])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=60, max_value=80).flatmap(
+        lambda n: st.permutations([str(c) for c in range(n)] * 2)
+    )
+)
+def test_both_routes_agree_past_one_machine_word(tokens):
+    # Dropping a chord's index renumbers rows of 60-80 bits, which span
+    # two machine words; check the first, a middle and the last index.
+    d = diagram_from_word(GaussWord(tuple(tokens)))
+    for chord in (0, d.n // 2, d.n - 1):
+        assert _routes_agree(d, d.labels[chord]), (d.word.text(), chord)
