@@ -1,50 +1,26 @@
-"""Build script: compiles the optional Cython kernel module.
+"""Build script: compiles the optional kernel module gaussreal._speedups.
 
 The package is pure Python except for gaussreal._speedups, which holds the
-two hot loops (canonical-form minimisation and rotation-system search).  If
-Cython or a C compiler is unavailable the build falls back to a pure-Python
-install; gaussreal._kernels then selects the pure implementations at import
-time, so nothing else needs to care.
+two hot loops (canonical-form minimisation and rotation-system search).
+
+- With Cython installed, setuptools cythonizes ``_speedups.pyx``.
+- Without Cython, setuptools compiles the tracked ``_speedups.c`` next to
+  it instead, so the C must be regenerated (build with Cython installed)
+  and committed whenever the ``.pyx`` changes; ``tests/test_kernels.py``
+  checks that the two are in step.
+- If the C compile fails, ``optional=True`` skips the extension with a
+  warning; gaussreal._kernels then selects the pure implementations at
+  import time, so nothing else needs to care.
+
+Build in place with ``python setup.py build_ext --inplace``.
 """
 
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class optional_build_ext(build_ext):
-    """Build the extension if we can, otherwise warn and continue."""
-
-    def run(self):
-        try:
-            build_ext.run(self)
-        except Exception as exc:  # missing compiler, bad toolchain, ...
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            build_ext.build_extension(self, ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        import warnings
-
-        warnings.warn(
-            "gaussreal: compiled kernels unavailable (%s); "
-            "falling back to the pure-Python implementations" % (exc,)
+setup(
+    ext_modules=[
+        Extension(
+            "gaussreal._speedups", ["src/gaussreal/_speedups.pyx"], optional=True
         )
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [Extension("gaussreal._speedups", ["src/gaussreal/_speedups.pyx"])],
-        language_level="3",
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+    ]
+)

@@ -8,10 +8,10 @@ the diagram *and every single-chord smoothing of it* satisfy the even
 condition.
 
 Isolated chords (crossing nothing) are curls of the curve: they never
-affect anyone's crossing sets, so they are stripped first and the
-criterion runs on the kink-free rest; the empty diagram is the plain
-circle.  Reports name their evidence — a parity-violating chord or pair,
-possibly inside a named smoothing — with enough payload (the exact
+affect anyone's crossing sets, so the verdict is that of the kink-free
+rest, and witnesses are stated on that rest; the empty diagram is the
+plain circle.  Reports name their evidence — a parity-violating chord or
+pair, possibly inside a named smoothing — with enough payload (the exact
 crossing sets and the smoothed word) for ``verify_witness`` to re-check
 by recomputation without repeating the search.
 
@@ -265,25 +265,27 @@ def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
 def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     """Decide realizability: even condition for the diagram and all smoothings.
 
-    The verdict is computed on the crossing rows of the kink-free diagram,
-    with each smoothing taken by the toggle rule.  The witness for a
-    non-realizable verdict is the least one in search order: a violation
-    of the diagram itself if there is one, otherwise the first chord (in
-    index order) whose smoothing violates, with that smoothing's full
-    violation list.  Only that witness is labelled, through
-    ``even_condition`` and the word rule.
+    The verdict is computed on the crossing rows of the diagram as given,
+    with each smoothing taken by the toggle rule: kinks are empty rows,
+    which never break the even condition and whose smoothing changes
+    nothing, so the verdict is that of the kink-free diagram.  The witness
+    for a non-realizable verdict is the least one in search order: a
+    violation of the kink-free diagram itself if there is one, otherwise
+    the first chord (in index order) whose smoothing violates, with that
+    smoothing's full violation list.  Only that witness is labelled,
+    through ``even_condition`` and the word rule on the kink-free diagram.
     """
-    reduced = remove_isolated(diagram)
-    rows = interlacement(reduced).rows
+    rows = interlacement(diagram).rows
+    reduced = diagram if all(rows) else remove_isolated(diagram)
     witness: EvenConditionViolation | SmoothingViolation | None = None
     if not _even(rows):
         witness = EvenConditionViolation(report=even_condition(reduced))
     else:
-        for c in range(reduced.n):
-            if not _even(toggle_rows(rows, c)):
-                result = smooth_by_word(reduced, reduced.labels[c])
+        for c, row in enumerate(rows):
+            if row and not _even(toggle_rows(rows, c)):
+                result = smooth_by_word(reduced, diagram.labels[c])
                 witness = SmoothingViolation(
-                    chord=reduced.labels[c],
+                    chord=diagram.labels[c],
                     smoothed_word=result.word,
                     report=even_condition(result.diagram),
                 )

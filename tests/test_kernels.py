@@ -2,12 +2,16 @@
 
 The pure-Python kernels are always checked.  The differential tests run only
 when the compiled ``gaussreal._speedups`` module imports; they compare it with
-``gaussreal._pure`` call for call.
+``gaussreal._pure`` call for call.  Without Cython the extension is built from
+the tracked ``_speedups.c``, so a test also checks that the C was generated
+from the current ``_speedups.pyx``.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +34,30 @@ def test_pure_canonical_key_is_the_least_relabelled_reading(word):
     readings = symmetry_variants(GaussWord.from_tokens(str(c) for c in word))
     expected = min((_first_visit_relabelling(r) for r in readings), default=())
     assert _pure.canonical_key(word) == expected
+
+
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "gaussreal"
+MARKER = "             # <<<<<<<<<<<<<<"
+
+
+def test_tracked_c_quotes_the_current_pyx():
+    """Every ``.pyx`` excerpt Cython left in ``_speedups.c`` matches the ``.pyx``.
+
+    Each excerpt is headed ``/* "gaussreal/_speedups.pyx":N``; the quoted
+    line ending in ``MARKER`` is line N and its neighbours are offset from
+    it.  Cython quotes each line right-stripped, after `` * ``.
+    """
+    pyx = (SOURCES / "_speedups.pyx").read_text().split("\n")
+    c = (SOURCES / "_speedups.c").read_text()
+    blocks = re.findall(r'/\* "gaussreal/_speedups\.pyx":(\d+)\n(.*?)\n *\*/', c, re.S)
+    assert blocks
+    for number, body in blocks:
+        quoted = body.split("\n")
+        (mark,) = [i for i, line in enumerate(quoted) if line.endswith(MARKER)]
+        quoted[mark] = quoted[mark][: -len(MARKER)]
+        first = int(number) - 1 - mark
+        expected = [" * " + line.rstrip() for line in pyx[first : first + len(quoted)]]
+        assert quoted == expected, "_speedups.c is stale at .pyx line %s" % number
 
 
 def _speedups():

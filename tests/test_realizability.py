@@ -11,7 +11,9 @@ from gaussreal import (
     WitnessMismatch,
     diagram_from_word,
     even_condition,
+    interlacement,
     is_realizable,
+    realizability,
     remove_isolated,
     verify_witness,
 )
@@ -58,6 +60,18 @@ def test_remove_isolated_strips_kinks_in_one_pass():
     assert remove_isolated(diagram_from_word("1 2 1 2")).word.text() == "1 2 1 2"
     word = "9 1 2 1 2 9"
     assert remove_isolated(diagram_from_word(word)).word.text() == "1 2 1 2"
+
+
+def test_kink_free_diagram_builds_its_crossing_rows_once(monkeypatch):
+    calls = []
+
+    def counted(diagram):
+        calls.append(diagram.word.text())
+        return interlacement(diagram)
+
+    monkeypatch.setattr(realizability, "interlacement", counted)
+    assert is_realizable(diagram_from_word("1 2 3 1 2 3")).realizable
+    assert calls == ["1 2 3 1 2 3"]
 
 
 def test_realizable_fixture_report():
