@@ -1,4 +1,4 @@
-"""Kernel selection: compiled Cython speedups with a pure-Python fallback.
+"""Kernel selection: the compiled C kernels with a pure-Python fallback.
 
 Set the environment variable GAUSSREAL_PURE (to anything non-empty) to force
 the pure implementations even when the extension module is importable.  The

@@ -1,9 +1,9 @@
 """Pure-Python kernels: canonical-form minimisation and rotation search.
 
 These are the two inner loops the package spends nearly all of its time in
-during exhaustive sweeps.  gaussreal._speedups holds a Cython translation
-with identical semantics; gaussreal._kernels picks one at import time.  Keep
-the two implementations in lock step: tests/test_kernels.py compares them
+during exhaustive sweeps.  gaussreal._speedups holds a C translation with
+identical semantics; gaussreal._kernels picks one at import time.  Keep the
+two implementations in lock step: tests/test_kernels.py compares them
 whenever gaussreal._speedups imports.
 
 Dart/rotation conventions (shared with gaussreal.oracle):

@@ -251,7 +251,11 @@ def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
     which of the remaining chords interleave, so no new isolated chords
     can appear.
     """
-    rows = interlacement(diagram).rows
+    return _drop_kinks(diagram, interlacement(diagram).rows)
+
+
+def _drop_kinks(diagram: ChordDiagram, rows) -> ChordDiagram:
+    """The diagram without the chords whose crossing ``rows`` are empty."""
     if all(rows):
         return diagram
     keep = tuple(
@@ -276,7 +280,7 @@ def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     through ``even_condition`` and the word rule on the kink-free diagram.
     """
     rows = interlacement(diagram).rows
-    reduced = diagram if all(rows) else remove_isolated(diagram)
+    reduced = _drop_kinks(diagram, rows)
     witness: EvenConditionViolation | SmoothingViolation | None = None
     if not _even(rows):
         witness = EvenConditionViolation(report=even_condition(reduced))

@@ -70,8 +70,10 @@ def test_kink_free_diagram_builds_its_crossing_rows_once(monkeypatch):
         return interlacement(diagram)
 
     monkeypatch.setattr(realizability, "interlacement", counted)
-    assert is_realizable(diagram_from_word("1 2 3 1 2 3")).realizable
-    assert calls == ["1 2 3 1 2 3"]
+    for word in ("1 2 3 1 2 3", "9 1 2 3 1 2 3 9"):
+        calls.clear()
+        assert is_realizable(diagram_from_word(word)).realizable
+        assert calls == [word]
 
 
 def test_realizable_fixture_report():
