@@ -6,6 +6,14 @@ identical semantics; gaussreal._kernels picks one at import time.  Keep the
 two implementations in lock step: tests/test_kernels.py compares them
 whenever gaussreal._speedups imports.
 
+Input contract, for both backends: ``canonical_key`` takes an index word of
+even length m whose symbols lie in [0, m/2); ``find_planar_rotation`` takes
+0 <= n <= 63 and exactly 2n endpoints in [0, 2n), chord c at 2c and 2c+1.
+Only the C checks this (it raises ValueError), because it copies the input
+into fixed-size arrays; these functions trust it.  Every caller in the
+package passes the index word or endpoints of a ChordDiagram (the oracle
+refuses n > 24 first), so only a direct call can break the contract.
+
 Dart/rotation conventions (shared with gaussreal.oracle):
 
 - For a diagram with n chords, circle position i (0..2n-1) is one passage of

@@ -1,13 +1,14 @@
 """Contours, door chords, complement colorings, and colorful chords.
 
 A *C-contour* C(a) is a chord ``a`` together with one of the two circle
-arcs bounded by its endpoints; the chords lying entirely inside the chosen
-arc are its members, and the chords crossing ``a`` are its doors (each
-door has exactly one endpoint inside the chosen arc).  An *X-contour*
-X(a, b) of two crossing chords is the analogous region bounded by both
-chords and two opposite circle arcs: the four endpoints cut the circle
-into four arcs, and the contour takes one opposite pair of them.  A door
-of X(a, b) is a chord with exactly one endpoint inside the contour arcs.
+arcs bounded by its endpoints.  An *X-contour* X(a, b) of two crossing
+chords is the analogous region bounded by both chords and two opposite
+circle arcs: the four endpoints cut the circle into four arcs, and the
+contour takes one opposite pair of them.  Both kinds classify the other
+chords the same way: a chord with both endpoints inside the contour arcs
+is a member, and one with exactly one endpoint inside is a door.  For a
+C-contour the doors are therefore exactly the chords crossing ``a``, on
+either arc; the tests check that against the crossing rows.
 
 Colorings.  The circle segments outside a contour split into complement
 components (one arc for a C-contour, two opposite arcs for an X-contour).
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ChordDiagram, Interlacement, _label_key, interlacement
+from .core import ChordDiagram, _label_key, interlacement, iter_bits
 from .smoothing import SmoothingResult, smooth_by_word
 
 COLOR_A = "A"
@@ -47,20 +48,37 @@ class DegenerateContour(ValueError):
     """Coloring is only defined for contours with doors and an outside."""
 
 
-def _arc_positions(m: int, start: int, stop: int):
-    """Positions strictly between ``start`` and ``stop``, walking forward."""
-    p = (start + 1) % m
-    while p != stop:
-        yield p
-        p = (p + 1) % m
-
-
 def _arc_segments(m: int, start: int, stop: int):
     """Segments of the forward walk start -> stop (segment p joins p, p+1)."""
     p = start
     while p != stop:
         yield p
         p = (p + 1) % m
+
+
+def _members_and_doors(
+    diagram: ChordDiagram, arcs, skip: tuple[int, ...]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Chords outside ``skip`` with two (members) or one (doors) ends inside.
+
+    The positions strictly inside an arc are those of the walk that starts
+    one step after its start.
+    """
+    m = 2 * diagram.n
+    inside = {
+        p for start, stop in arcs for p in _arc_segments(m, (start + 1) % m, stop)
+    }
+    members = set()
+    doors = set()
+    for c, (r, s) in enumerate(diagram.endpoints):
+        if c in skip:
+            continue
+        hits = (r in inside) + (s in inside)
+        if hits == 2:
+            members.add(c)
+        elif hits == 1:
+            doors.add(c)
+    return frozenset(members), frozenset(doors)
 
 
 @dataclass(frozen=True)
@@ -193,42 +211,30 @@ class ArcColoring:
         }
 
 
-def build_c_contour(
-    diagram: ChordDiagram,
-    a: str,
-    arc_selector: int = 0,
-    inter: Interlacement | None = None,
-) -> CContour:
-    """Contour of chord ``a`` and its chosen arc (selector 0 or 1)."""
+def build_c_contour(diagram: ChordDiagram, a: str, arc_selector: int = 0) -> CContour:
+    """Contour of chord ``a`` and its chosen arc (selector 0 or 1).
+
+    Doors are the chords with exactly one endpoint inside the chosen arc,
+    which are exactly the chords crossing ``a`` on either selector.
+    """
     if arc_selector not in (0, 1):
         raise ValueError("arc selector must be 0 or 1")
     ai = diagram.index_of(a)
     p, q = diagram.endpoints[ai]
     arc = (p, q) if arc_selector == 0 else (q, p)
-    if inter is None:
-        inter = interlacement(diagram)
-    inside = frozenset(_arc_positions(2 * diagram.n, *arc))
-    members = frozenset(
-        c
-        for c, (r, s) in enumerate(diagram.endpoints)
-        if c != ai and r in inside and s in inside
-    )
+    members, doors = _members_and_doors(diagram, (arc,), (ai,))
     return CContour(
         diagram=diagram,
         a=ai,
         selector=arc_selector,
         arc=arc,
         members=members,
-        doors=inter.crossings[ai],
+        doors=doors,
     )
 
 
 def build_x_contour(
-    diagram: ChordDiagram,
-    a: str,
-    b: str,
-    arc_selector: int = 0,
-    inter: Interlacement | None = None,
+    diagram: ChordDiagram, a: str, b: str, arc_selector: int = 0
 ) -> XContour:
     """Contour of the crossing pair ``a, b`` and an opposite arc pair.
 
@@ -237,19 +243,19 @@ def build_x_contour(
     a's endpoints; selector 1 takes the two that start at b's.  Either
     way each contour arc has one a-end and one b-end, and the complement
     components each run from a b-end forward to an a-end (selector 0) or
-    vice versa (selector 1).
+    vice versa (selector 1).  Doors are the chords with exactly one
+    endpoint inside the two contour arcs.
     """
     if arc_selector not in (0, 1):
         raise ValueError("arc selector must be 0 or 1")
     ai = diagram.index_of(a)
     bi = diagram.index_of(b)
-    if inter is None:
-        inter = interlacement(diagram)
-    if not inter.cross(ai, bi):
+    p, q = diagram.endpoints[ai]
+    r, s = diagram.endpoints[bi]
+    if (p < r < q) == (p < s < q):
         raise ChordsDoNotCross(
             "chords %r and %r do not interleave" % (a, b)
         )
-    m = 2 * diagram.n
     corners = sorted(diagram.endpoints[ai] + diagram.endpoints[bi])
     if corners[0] not in diagram.endpoints[ai]:
         # Orient the corner list so it reads a, b, a, b.
@@ -259,27 +265,15 @@ def build_x_contour(
         arcs = ((q0, q1), (q2, q3))
     else:
         arcs = ((q1, q2), (q3, q0))
-    inside = frozenset(_arc_positions(m, *arcs[0])) | frozenset(
-        _arc_positions(m, *arcs[1])
-    )
-    members = set()
-    doors = set()
-    for c, (r, s) in enumerate(diagram.endpoints):
-        if c == ai or c == bi:
-            continue
-        hits = (r in inside) + (s in inside)
-        if hits == 2:
-            members.add(c)
-        elif hits == 1:
-            doors.add(c)
+    members, doors = _members_and_doors(diagram, arcs, (ai, bi))
     return XContour(
         diagram=diagram,
         a=ai,
         b=bi,
         selector=arc_selector,
         arcs=arcs,
-        members=frozenset(members),
-        doors=frozenset(doors),
+        members=members,
+        doors=doors,
         non_degenerate=bool(doors) and len(members) + 2 < diagram.n,
     )
 
@@ -300,14 +294,7 @@ def color_complement(contour: CContour | XContour) -> ArcColoring:
         )
     diagram = contour.diagram
     m = 2 * diagram.n
-    door_flips = set()
-    for c in contour.doors:
-        for p in diagram.endpoints[c]:
-            door_flips.add(p)
-    inside = set()
-    for arc in contour.contour_arcs:
-        inside.update(_arc_positions(m, *arc))
-    door_flips -= inside  # only the endpoints in painted territory flip
+    door_ends = {p for c in contour.doors for p in diagram.endpoints[c]}
 
     segments: list[str | None] = [None] * m
     anchors = []
@@ -318,18 +305,19 @@ def color_complement(contour: CContour | XContour) -> ArcColoring:
         else set()
     )
     for start, stop in contour.complement_components:
-        interior_flips = sum(
-            1 for p in _arc_positions(m, start, stop) if p in door_flips
-        )
+        # A walk starts at a contour corner and stays outside the contour
+        # arcs, so it meets only the door ends in painted territory.
+        walk = list(_arc_segments(m, start, stop))
+        turns = [p for p in walk if p in door_ends]
         color = COLOR_A
-        if stop in b_ends and interior_flips % 2:
+        if stop in b_ends and len(turns) % 2:
             # Anchor color A at the far (b) end of the component.
             color = COLOR_B
         anchors.append(start)
-        for seg in _arc_segments(m, start, stop):
-            if seg != start and seg in door_flips:
+        flips.extend(turns)
+        for seg in walk:
+            if seg in door_ends:
                 color = COLOR_B if color == COLOR_A else COLOR_A
-                flips.append(seg)
             segments[seg] = color
     return ArcColoring(
         segments=tuple(segments),
@@ -387,16 +375,12 @@ def exists_colorful_witness(diagram: ChordDiagram) -> ColorfulWitness | None:
     ``transfer_witness`` smooths b), then by arc selector, then by chord
     index among that coloring's colorful chords.
     """
-    inter = interlacement(diagram)
+    rows = interlacement(diagram).rows
     labels = diagram.labels
     for ai in range(diagram.n):
-        for bi in range(diagram.n):
-            if bi == ai or not inter.cross(ai, bi):
-                continue
+        for bi in iter_bits(rows[ai]):
             for selector in (0, 1):
-                contour = build_x_contour(
-                    diagram, labels[ai], labels[bi], selector, inter=inter
-                )
+                contour = build_x_contour(diagram, labels[ai], labels[bi], selector)
                 if not contour.non_degenerate:
                     continue
                 coloring = color_complement(contour)
@@ -423,17 +407,13 @@ def transfer_witness(
     """
     a_label = witness.contour.a_label
     result = smooth_by_word(diagram, witness.contour.b_label)
-    smoothed = result.diagram
-    ai = smoothed.index_of(a_label)
-    ci = smoothed.index_of(witness.chord)
-    p, q = smoothed.endpoints[ai]
-    inside0 = set(_arc_positions(2 * smoothed.n, p, q))
-    c_inside = sum(1 for pos in smoothed.endpoints[ci] if pos in inside0)
-    if c_inside == 1:
+    contour = build_c_contour(result.diagram, a_label, 0)
+    ci = result.diagram.index_of(witness.chord)
+    if ci in contour.doors:
         raise AssertionError(
             "witness chord %r still crosses %r after smoothing"
             % (witness.chord, witness.contour.b_label)
         )
-    selector = 1 if c_inside == 2 else 0
-    contour = build_c_contour(smoothed, a_label, selector)
+    if ci in contour.members:
+        contour = build_c_contour(result.diagram, a_label, 1)
     return result, contour, color_complement(contour)

@@ -28,18 +28,23 @@ from .oracle import EmbeddingWitness, oracle_realizable
 from .realizability import RealizabilityReport, is_realizable
 
 
-def _matchings(positions: tuple[int, ...]):
-    """All perfect matchings of an ascending position tuple, as pair tuples."""
-    if not positions:
-        yield ()
+def _fill(word: list[int], c: int):
+    """Complete ``word`` in place, yielding it once per perfect matching.
+
+    Chord c takes the first free slot (-1) and, in turn, each later free
+    slot as its partner; chord c + 1 then fills the rest.
+    """
+    if -1 not in word:
+        yield word
         return
-    first = positions[0]
-    rest = positions[1:]
-    for k in range(len(rest)):
-        pair = (first, rest[k])
-        remaining = rest[:k] + rest[k + 1 :]
-        for tail in _matchings(remaining):
-            yield (pair,) + tail
+    first = word.index(-1)
+    word[first] = c
+    for j in range(first + 1, len(word)):
+        if word[j] == -1:
+            word[j] = c
+            yield from _fill(word, c + 1)
+            word[j] = -1
+    word[first] = -1
 
 
 def _map(fn, items, workers: int) -> list:
@@ -55,16 +60,9 @@ def _map(fn, items, workers: int) -> list:
 def _shard_keys(args) -> set:
     """Canonical keys of every index word whose position 0 pairs with j."""
     n, j = args
-    m = 2 * n
-    rest = tuple(p for p in range(1, m) if p != j)
-    word = [0] * m
-    word[j] = 0
-    keys = set()
-    for tail in _matchings(rest):
-        for c, (p, q) in enumerate(tail, start=1):
-            word[p] = word[q] = c
-        keys.add(_kernels.canonical_key(word))
-    return keys
+    word = [-1] * (2 * n)
+    word[0] = word[j] = 0
+    return {_kernels.canonical_key(w) for w in _fill(word, 1)}
 
 
 def canonical_keys(n: int, workers: int = 1) -> list[tuple[int, ...]]:

@@ -183,7 +183,7 @@ def test_criterion_5_parity_identity(canonical_by_n):
             inter = interlacement(d)
             for a in range(d.n):
                 for selector in (0, 1):
-                    contour = build_c_contour(d, d.labels[a], selector, inter=inter)
+                    contour = build_c_contour(d, d.labels[a], selector)
                     hits = colorful_chords(d, contour, color_complement(contour))
                     outside = (
                         set(range(d.n)) - {a} - contour.members - contour.doors

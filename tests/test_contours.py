@@ -52,6 +52,13 @@ def test_c_contour_doors_are_exactly_the_crossing_set():
         c = build_c_contour(d, "1", selector)
         assert frozenset(c.document()["doors"]) == by_label["1"]
     assert by_label["1"] == frozenset({"0", "2", "3", "4", "5", "6"})
+    for n in range(1, 6):
+        for d in enumerate_canonical(n):
+            crossings = interlacement(d).crossings
+            for a in range(d.n):
+                for selector in (0, 1):
+                    c = build_c_contour(d, d.labels[a], selector)
+                    assert c.doors == crossings[a]
 
 
 def test_every_door_has_one_endpoint_inside_the_chosen_arc():
@@ -75,8 +82,10 @@ def test_every_door_has_one_endpoint_inside_the_chosen_arc():
 
 
 def test_x_contour_requires_crossing_chords():
-    with pytest.raises(ChordsDoNotCross):
-        build_x_contour(diagram_from_word("1 1 2 2"), "1", "2")
+    for word in ("1 1 2 2", "1 2 2 1"):
+        for a, b in (("1", "2"), ("2", "1")):
+            with pytest.raises(ChordsDoNotCross):
+                build_x_contour(diagram_from_word(word), a, b)
     with pytest.raises(UnknownChord):
         build_x_contour(diagram_from_word("1 2 1 2"), "1", "9")
 
@@ -163,7 +172,7 @@ def test_colorful_iff_odd_shared_crossings_up_to_five_chords():
             inter = interlacement(d)
             for a in range(d.n):
                 for selector in (0, 1):
-                    c = build_c_contour(d, d.labels[a], selector, inter=inter)
+                    c = build_c_contour(d, d.labels[a], selector)
                     hits = colorful_chords(d, c, color_complement(c))
                     outside = set(range(d.n)) - {a} - c.members - c.doors
                     for b in outside:
