@@ -20,37 +20,13 @@ import time
 from typing import Callable
 
 from gaussreal import _pure, diagram_from_word, enumerate_canonical
+from gaussreal.enumeration import _fill
 from gaussreal.oracle import _endpoints_flat
 
 try:
     from gaussreal import _speedups
 except ImportError:  # pragma: no cover - build without the extension
     _speedups = None
-
-
-def _all_index_words(n: int) -> list[tuple[int, ...]]:
-    """Every double-occurrence word on 0..n-1, chords named by first visit."""
-    words: list[tuple[int, ...]] = []
-
-    def grow(word: list[int], used: int, open_pos: list[int]) -> None:
-        if len(word) == 2 * n:
-            words.append(tuple(word))
-            return
-        if used < n:
-            word.append(used)
-            open_pos.append(used)
-            grow(word, used + 1, open_pos)
-            open_pos.pop()
-            word.pop()
-        for i in range(len(open_pos)):
-            chord = open_pos.pop(i)
-            word.append(chord)
-            grow(word, used, open_pos)
-            word.pop()
-            open_pos.insert(i, chord)
-
-    grow([], 0, [])
-    return words
 
 
 def _time(fn, repeat: int) -> float:
@@ -85,7 +61,7 @@ def main() -> None:
     args = parser.parse_args()
     n = args.max_chords
 
-    words = _all_index_words(n)
+    words = [tuple(word) for word in _fill([-1] * (2 * n), 0)]
     diagrams = list(enumerate_canonical(n))
     flats = [(_endpoints_flat(d), d.n) for d in diagrams]
 

@@ -63,7 +63,6 @@ from .oracle import (
     OracleBudgetExceeded,
     RotationSystem,
     build_map,
-    count_faces,
     oracle_realizable,
     trace_faces,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "canonicalize",
     "color_complement",
     "colorful_chords",
-    "count_faces",
     "cross_validate",
     "crossing_labels",
     "diagram_from_word",

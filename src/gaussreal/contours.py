@@ -104,10 +104,6 @@ class CContour:
     def complement_components(self) -> tuple[tuple[int, int], ...]:
         return ((self.arc[1], self.arc[0]),)
 
-    @property
-    def contour_arcs(self) -> tuple[tuple[int, int], ...]:
-        return (self.arc,)
-
     def document(self) -> dict:
         labels = self.diagram.labels
         return {
@@ -149,10 +145,6 @@ class XContour:
     def complement_components(self) -> tuple[tuple[int, int], ...]:
         (s0, t0), (s1, t1) = self.arcs
         return ((t0, s1), (t1, s0))
-
-    @property
-    def contour_arcs(self) -> tuple[tuple[int, int], ...]:
-        return self.arcs
 
     def document(self) -> dict:
         labels = self.diagram.labels

@@ -7,9 +7,11 @@ occurrences placed recursively), canonicalizes each word, and dedupes.
 ``cross_validate`` then plays the two independent deciders against each
 other — the even-condition criterion of ``gaussreal.realizability`` and
 the rotation-system search of ``gaussreal.oracle`` — over every canonical
-diagram up to a chord bound.  Disagreements are not errors of the
-harness; they are its most important output and are recorded with both
-witnesses and written out as re-runnable batch lines.
+diagram up to a chord bound.  Diagrams stream through both deciders one at
+a time, in worker processes if asked, and only counts and disagreements
+are kept.  Disagreements are not errors of the harness; they are its most
+important output and are recorded with both witnesses and written out as
+re-runnable batch lines.
 
 Structured sweep documents never include timing, so two runs with the
 same configuration are byte-identical; wall time is kept on the in-memory
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import _kernels, codec
-from .core import CanonicalForm, ChordDiagram, GaussWord, diagram_from_word, interlacement
+from .core import CanonicalForm, ChordDiagram, GaussWord, interlacement
+from .core import diagram_from_word  # noqa: F401  -- wrapped by perfbench/spans.py
 from .oracle import EmbeddingWitness, oracle_realizable
 from .realizability import RealizabilityReport, is_realizable
 
@@ -47,16 +50,6 @@ def _fill(word: list[int], c: int):
     word[first] = -1
 
 
-def _map(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, in ``workers`` processes if more than one."""
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(fn, items)
-    return [fn(item) for item in items]
-
-
 def _shard_keys(args) -> set:
     """Canonical keys of every index word whose position 0 pairs with j."""
     n, j = args
@@ -77,7 +70,7 @@ def canonical_keys(n: int, workers: int = 1) -> list[tuple[int, ...]]:
     if n == 0:
         return [()]
     keys = set()
-    for part in _map(_shard_keys, [(n, j) for j in range(1, 2 * n)], workers):
+    for part in _kernels._map(_shard_keys, [(n, j) for j in range(1, 2 * n)], workers):
         keys |= part
     return sorted(keys)
 
@@ -87,14 +80,15 @@ def enumerate_canonical(
 ) -> Iterator[ChordDiagram]:
     """One canonical representative per n-chord diagram, in sorted key order.
 
+    The keys are computed when this is called, in ``workers`` processes if
+    more than one; the diagrams are then built lazily, one per ``next()``.
     With ``require_non_isolated``, diagrams containing a kink (a chord that
     crosses no other) are skipped.
     """
-    for key in canonical_keys(n, workers):
-        diagram = CanonicalForm(key=key).diagram()
-        if require_non_isolated and interlacement(diagram).isolated():
-            continue
-        yield diagram
+    diagrams = (CanonicalForm(key=key).diagram() for key in canonical_keys(n, workers))
+    if require_non_isolated:
+        return (d for d in diagrams if not interlacement(d).isolated())
+    return diagrams
 
 
 @dataclass(frozen=True)
@@ -190,10 +184,17 @@ class SweepReport:
         return lines
 
 
-def _verdict_pair(text: str) -> tuple[bool, bool]:
-    """(criterion verdict, oracle verdict) of one word; text pickles cheaply."""
-    diagram = diagram_from_word(text)
-    return is_realizable(diagram).realizable, oracle_realizable(diagram) is not None
+# Sweep items per worker task: one diagram is too little work to ship alone.
+_SWEEP_CHUNK = 256
+
+
+def _sweep_item(diagram: ChordDiagram) -> tuple[bool, Disagreement | None]:
+    """The criterion verdict of one diagram, and the split if the oracle differs."""
+    criterion = is_realizable(diagram)
+    witness = oracle_realizable(diagram)
+    if criterion.realizable == (witness is not None):
+        return criterion.realizable, None
+    return criterion.realizable, Disagreement(diagram.word, criterion, witness)
 
 
 def cross_validate(cfg: SweepConfig) -> SweepReport:
@@ -201,30 +202,22 @@ def cross_validate(cfg: SweepConfig) -> SweepReport:
     start = time.perf_counter()
     rows = []
     for n in range(1, cfg.max_chords + 1):
-        words = [
-            diagram.word.text()
-            for diagram in enumerate_canonical(n, cfg.workers, cfg.require_non_isolated)
-        ]
-        verdicts = _map(_verdict_pair, words, cfg.workers)
-        realizable = 0
+        diagrams = enumerate_canonical(n, cfg.workers, cfg.require_non_isolated)
+        total = realizable = 0
         disagreements = []
-        for text, (by_criterion, by_oracle) in zip(words, verdicts):
-            realizable += by_criterion
-            if by_criterion != by_oracle:
-                diagram = diagram_from_word(text)
-                disagreements.append(
-                    Disagreement(
-                        word=diagram.word,
-                        criterion=is_realizable(diagram),
-                        oracle=oracle_realizable(diagram),
-                    )
-                )
+        for verdict, split in _kernels._map(
+            _sweep_item, diagrams, cfg.workers, _SWEEP_CHUNK
+        ):
+            total += 1
+            realizable += verdict
+            if split is not None:
+                disagreements.append(split)
         rows.append(
             SweepRow(
                 n=n,
-                total=len(words),
+                total=total,
                 realizable=realizable,
-                non_realizable=len(words) - realizable,
+                non_realizable=total - realizable,
                 disagreements=tuple(disagreements),
             )
         )

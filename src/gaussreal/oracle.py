@@ -142,10 +142,6 @@ def trace_faces(fmap: FourValentMap, rotation: RotationSystem) -> tuple[tuple[in
     return tuple(faces)
 
 
-def count_faces(fmap: FourValentMap, rotation: RotationSystem) -> int:
-    return len(trace_faces(fmap, rotation))
-
-
 def _endpoints_flat(diagram: ChordDiagram) -> list[int]:
     out = []
     for p, q in diagram.endpoints:
@@ -201,9 +197,11 @@ def _search_chunk(args) -> int:
 
 
 def _parallel_search(flat, n: int, workers: int) -> int:
-    """Partition the mask range; the least hit wins regardless of scheduling."""
-    import multiprocessing
+    """Partition the mask range; the least hit wins regardless of scheduling.
 
+    Chunks come back in mask order, so the first hit is the least one;
+    dropping the generator there terminates the pool.
+    """
     total = 1 << n
     chunks = workers * 4
     bounds = [(total * k) // chunks for k in range(chunks + 1)]
@@ -212,9 +210,4 @@ def _parallel_search(flat, n: int, workers: int) -> int:
         for k in range(chunks)
         if bounds[k] < bounds[k + 1]
     ]
-    with multiprocessing.Pool(workers) as pool:
-        for found in pool.imap(_search_chunk, jobs):
-            if found >= 0:
-                pool.terminate()
-                return found
-    return -1
+    return next((m for m in _kernels._map(_search_chunk, jobs, workers) if m >= 0), -1)

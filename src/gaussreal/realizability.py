@@ -55,13 +55,6 @@ class ChordParityViolation:
     def subject(self) -> str:
         return "chord %s" % self.chord
 
-    def describe(self) -> str:
-        return "chord %s crosses %d chords (%s)" % (
-            self.chord,
-            len(self.crossings),
-            ", ".join(self.crossings),
-        )
-
     def document(self) -> dict:
         return {
             "kind": "chord",
@@ -79,14 +72,6 @@ class PairParityViolation:
 
     def subject(self) -> str:
         return "pair (%s, %s)" % self.pair
-
-    def describe(self) -> str:
-        return "non-crossing pair (%s, %s) shares %d crossings (%s)" % (
-            self.pair[0],
-            self.pair[1],
-            len(self.shared),
-            ", ".join(self.shared),
-        )
 
     def document(self) -> dict:
         return {

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from gaussreal import _kernels, enumeration
 from gaussreal import (
     Disagreement,
     SweepConfig,
@@ -70,6 +71,49 @@ def test_every_orbit_reaches_the_same_canonical_form(canonical_by_n):
 
 def test_parallel_key_generation_matches_serial():
     assert canonical_keys(4, workers=2) == canonical_keys(4, workers=1)
+
+
+def test_map_draws_items_only_as_results_are_taken():
+    drawn = []
+
+    def items():
+        for k in range(3):
+            drawn.append(k)
+            yield k
+
+    assert next(_kernels._map(str, items(), 1)) == "0"
+    assert drawn == [0]
+
+
+@pytest.mark.parametrize("require_non_isolated", [False, True])
+def test_parallel_sweep_document_matches_serial(require_non_isolated):
+    docs = [
+        document_to_json(
+            cross_validate(
+                SweepConfig(
+                    max_chords=5,
+                    require_non_isolated=require_non_isolated,
+                    workers=workers,
+                )
+            ).document()
+        )
+        for workers in (1, 2)
+    ]
+    assert docs[0] == docs[1]
+
+
+def test_disagreements_are_recorded_alike_by_one_and_two_workers(monkeypatch):
+    # Worker processes are forked, so they see the patched oracle too.
+    monkeypatch.setattr(enumeration, "oracle_realizable", lambda diagram: None)
+    reports = [cross_validate(SweepConfig(max_chords=5, workers=w)) for w in (1, 2)]
+    for report in reports:
+        realizable = sum(row.realizable for row in report.rows)
+        assert len(report.disagreements) == realizable == 25
+        for d in report.disagreements:
+            assert d.criterion.realizable and d.oracle is None
+    assert document_to_json(reports[0].document()) == document_to_json(
+        reports[1].document()
+    )
 
 
 def test_sweep_config_rejects_empty_ranges():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from gaussreal import (
@@ -9,7 +11,6 @@ from gaussreal import (
     RotationSystem,
     build_map,
     canonicalize,
-    count_faces,
     diagram_from_word,
     enumerate_canonical,
     oracle_realizable,
@@ -37,12 +38,12 @@ def test_map_counts_are_forced():
 def test_kink_has_three_faces_either_way():
     m = build_map(diagram_from_word("1 1"))
     for rotation in _all_rotations(1):
-        assert count_faces(m, rotation) == 3  # V - E + F = 1 - 2 + 3 = 2
+        assert len(trace_faces(m, rotation)) == 3  # V - E + F = 1 - 2 + 3 = 2
 
 
 def test_two_crossing_chords_never_reach_four_faces():
     m = build_map(diagram_from_word("1 2 1 2"))
-    assert [count_faces(m, r) for r in _all_rotations(2)] == [2, 2, 2, 2]
+    assert [len(trace_faces(m, r)) for r in _all_rotations(2)] == [2, 2, 2, 2]
     assert oracle_realizable(diagram_from_word("1 2 1 2")) is None
 
 
@@ -56,7 +57,7 @@ def test_trefoil_witness_is_the_least_planar_mask():
     brute = [
         mask
         for mask in range(8)
-        if count_faces(m, RotationSystem.from_mask(3, mask)) == 5
+        if len(trace_faces(m, RotationSystem.from_mask(3, mask))) == 5
     ]
     assert witness.rotation.mask == brute[0]
 
@@ -113,6 +114,7 @@ def test_parallel_search_matches_serial():
     serial = oracle_realizable(diagram_from_word(curls))
     parallel = oracle_realizable(diagram_from_word(curls), workers=2)
     assert serial == parallel
+    assert multiprocessing.active_children() == []  # the early hit ended the pool
     tangle = "1 2 1 2 " + " ".join("%d %d" % (c, c) for c in range(3, 13))
     assert oracle_realizable(diagram_from_word(tangle), workers=2) is None
 
