@@ -5,8 +5,11 @@ run on identical inputs:
 
 * ``canonical_key`` over every double-occurrence word of a given size,
   which is the inner loop of diagram enumeration, and
-* ``find_planar_rotation`` over the hardest canonical diagrams, which is
-  the inner loop of the embedding oracle.
+* ``find_planar_rotation`` over every canonical diagram of that size, on
+  the masks the embedding oracle scans, ``[0, 2**(n - 1))``; this is the
+  inner loop of the oracle.
+
+Both backends must return the same result for every timed input.
 
 Usage::
 
@@ -19,7 +22,7 @@ import argparse
 import time
 from typing import Callable
 
-from gaussreal import _pure, diagram_from_word, enumerate_canonical
+from gaussreal import _pure, enumerate_canonical
 from gaussreal.enumeration import _fill
 from gaussreal.oracle import _endpoints_flat
 
@@ -29,29 +32,41 @@ except ImportError:  # pragma: no cover - build without the extension
     _speedups = None
 
 
-def _time(fn, repeat: int) -> float:
+def _time(fn, repeat: int) -> tuple[float, list]:
+    """Best wall time of ``repeat`` calls, and the results of the last."""
     best = float("inf")
     for _ in range(repeat):
         started = time.perf_counter()
-        fn()
+        results = fn()
         best = min(best, time.perf_counter() - started)
-    return best
+    return best, results
 
 
-def bench_canonical(backend, words) -> Callable[[], None]:
-    def run() -> None:
-        for word in words:
-            backend.canonical_key(word)
+def bench_canonical(backend, words) -> Callable[[], list]:
+    def run() -> list:
+        return [backend.canonical_key(word) for word in words]
+
+    return run
+
+
+def bench_oracle(backend, flats) -> Callable[[], list]:
+    def run() -> list:
+        return [
+            backend.find_planar_rotation(flat, n, 0, stop) for flat, n, stop in flats
+        ]
 
     return run
 
 
-def bench_oracle(backend, flats) -> Callable[[], None]:
-    def run() -> None:
-        for flat, n in flats:
-            backend.find_planar_rotation(flat, n)
-
-    return run
+def _report(backends, bench, inputs, repeat: int) -> None:
+    times, results = {}, {}
+    for name, backend in backends:
+        times[name], results[name] = _time(bench(backend, inputs), repeat)
+        print("  %-8s %8.3fs" % (name, times[name]))
+    if len(times) == 2:
+        print("  speedup  %8.1fx" % (times["pure"] / times["compiled"]))
+        if results["pure"] != results["compiled"]:
+            raise SystemExit("the pure and compiled backends disagree")
 
 
 def main() -> None:
@@ -60,10 +75,12 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     n = args.max_chords
+    if n < 1:
+        parser.error("--max-chords must be at least 1")
 
     words = [tuple(word) for word in _fill([-1] * (2 * n), 0)]
     diagrams = list(enumerate_canonical(n))
-    flats = [(_endpoints_flat(d), d.n) for d in diagrams]
+    flats = [(_endpoints_flat(d), d.n, 1 << (d.n - 1)) for d in diagrams]
 
     backends = [("pure", _pure)]
     if _speedups is not None:
@@ -72,29 +89,12 @@ def main() -> None:
         print("extension not built; timing the pure backend only")
 
     print("canonical_key on all %d words with %d chords:" % (len(words), n))
-    times = {}
-    for name, backend in backends:
-        times[name] = _time(bench_canonical(backend, words), args.repeat)
-        print("  %-8s %8.3fs" % (name, times[name]))
-    if len(times) == 2:
-        print("  speedup  %8.1fx" % (times["pure"] / times["compiled"]))
-
+    _report(backends, bench_canonical, words, args.repeat)
     print(
-        "find_planar_rotation on all %d canonical diagrams with %d chords:"
-        % (len(diagrams), n)
+        "find_planar_rotation over masks [0, 2**%d) on all %d canonical"
+        " diagrams with %d chords:" % (n - 1, len(diagrams), n)
     )
-    times = {}
-    for name, backend in backends:
-        times[name] = _time(bench_oracle(backend, flats), args.repeat)
-        print("  %-8s %8.3fs" % (name, times[name]))
-    if len(times) == 2:
-        print("  speedup  %8.1fx" % (times["pure"] / times["compiled"]))
-
-    # Smoke-check that both backends agree on one verdict each.
-    sample = diagram_from_word("1 2 3 1 2 3")
-    flat = _endpoints_flat(sample)
-    results = {name: b.find_planar_rotation(flat, 3) for name, b in backends}
-    assert len(set(results.values())) == 1, results
+    _report(backends, bench_oracle, flats, args.repeat)
 
 
 if __name__ == "__main__":

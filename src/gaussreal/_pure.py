@@ -33,6 +33,11 @@ Dart/rotation conventions (shared with gaussreal.oracle):
 - Faces of the embedding selected by a handedness mask are the orbits of
   ``d -> sigma[d ^ 1]``; the embedding is spherical iff the face count is
   n + 2 (Euler characteristic n - 2n + F = 2).
+- The pure mask scan keeps that face permutation as one successor table,
+  ``nxt[d] = sigma[d ^ 1]``.  Chord c owns the four entries at its darts
+  reversed, ``in_f ^ 1``, ``in_s ^ 1``, ``out_f ^ 1`` and ``out_s ^ 1``, so
+  a change of its bit rewrites only those.  Faces are counted by walking
+  a copy of the table and overwriting each visited entry with -1.
 """
 
 from __future__ import annotations
@@ -74,44 +79,54 @@ def _vertex_darts(endpoints_flat, n):
     return darts
 
 
-def _fill_sigma(sigma, darts, mask):
-    for c, (in_f, out_f, in_s, out_s) in enumerate(darts):
-        if (mask >> c) & 1:
-            cycle = (in_f, out_s, out_f, in_s)
-        else:
-            cycle = (in_f, in_s, out_f, out_s)
-        sigma[cycle[0]] = cycle[1]
-        sigma[cycle[1]] = cycle[2]
-        sigma[cycle[2]] = cycle[3]
-        sigma[cycle[3]] = cycle[0]
-
-
-def _face_count(sigma, num_darts):
-    seen = bytearray(num_darts)
-    faces = 0
-    for d0 in range(num_darts):
-        if seen[d0]:
-            continue
-        faces += 1
-        d = d0
-        while not seen[d]:
-            seen[d] = 1
-            d = sigma[d ^ 1]
-    return faces
-
-
 def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
     """Least handedness mask in [start, stop) with a spherical embedding.
 
-    Returns -1 when no mask in the range yields face count n + 2.
+    Returns -1 when no mask in the range yields face count n + 2.  Going
+    from ``mask`` to ``mask + 1`` flips exactly the chords of
+    ``mask ^ (mask + 1)``: the lowest set bit of ``mask + 1`` turns on and
+    every chord below it turns off, so only their successor entries are
+    rewritten.
     """
     if stop is None:
         stop = 1 << n
-    darts = _vertex_darts(endpoints_flat, n)
-    sigma = [0] * (4 * n)
+    if start >= stop:
+        return -1
+    # Per chord: its four darts reversed, and the successors they take
+    # under bit 0 and under bit 1 (see the conventions above).
+    entries = []
+    for in_f, out_f, in_s, out_s in _vertex_darts(endpoints_flat, n):
+        entries.append(
+            (
+                (in_f ^ 1, in_s ^ 1, out_f ^ 1, out_s ^ 1),
+                ((in_s, out_f, out_s, in_f), (out_s, in_f, in_s, out_f)),
+            )
+        )
+    nxt = [0] * (4 * n)
+
+    def turn(c, bit):
+        (a, b, e, f), succ = entries[c]
+        nxt[a], nxt[b], nxt[e], nxt[f] = succ[bit]
+
+    for c in range(n):
+        turn(c, (start >> c) & 1)
     target = n + 2
-    for mask in range(start, stop):
-        _fill_sigma(sigma, darts, mask)
-        if _face_count(sigma, 4 * n) == target:
+    mask = start
+    while True:
+        walk = nxt[:]
+        faces = 0
+        for d in range(4 * n):
+            if walk[d] < 0:
+                continue
+            faces += 1
+            while d >= 0:
+                walk[d], d = -1, walk[d]
+        if faces == target:
             return mask
-    return -1
+        mask += 1
+        if mask >= stop:
+            return -1
+        top = (mask & -mask).bit_length() - 1
+        turn(top, 1)
+        for c in range(top):
+            turn(c, 0)

@@ -28,7 +28,7 @@ from . import _kernels, codec
 from .core import CanonicalForm, ChordDiagram, GaussWord, interlacement
 from .core import diagram_from_word  # noqa: F401  -- wrapped by perfbench/spans.py
 from .oracle import EmbeddingWitness, oracle_realizable
-from .realizability import RealizabilityReport, is_realizable
+from .realizability import RealizabilityReport, _decide, is_realizable
 
 
 def _fill(word: list[int], c: int):
@@ -189,12 +189,16 @@ _SWEEP_CHUNK = 256
 
 
 def _sweep_item(diagram: ChordDiagram) -> tuple[bool, Disagreement | None]:
-    """The criterion verdict of one diagram, and the split if the oracle differs."""
-    criterion = is_realizable(diagram)
+    """The criterion verdict of one diagram, and the split if the oracle differs.
+
+    Only a split needs the criterion's labelled report, so only a split
+    builds it.
+    """
+    realizable = _decide(interlacement(diagram).rows) is None
     witness = oracle_realizable(diagram)
-    if criterion.realizable == (witness is not None):
-        return criterion.realizable, None
-    return criterion.realizable, Disagreement(diagram.word, criterion, witness)
+    if realizable == (witness is not None):
+        return realizable, None
+    return realizable, Disagreement(diagram.word, is_realizable(diagram), witness)
 
 
 def cross_validate(cfg: SweepConfig) -> SweepReport:

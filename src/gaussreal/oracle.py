@@ -9,10 +9,17 @@ realizable in the plane iff some assignment of the n handedness bits makes
 the combinatorial map spherical, i.e. gives Euler characteristic
 V - E + F = n - 2n + F = 2.
 
-This module enumerates all 2**n assignments (delegating the tight loop to
-gaussreal._kernels) and reports the least one that embeds, together with
-its faces, as a witness.  It shares no theory with gaussreal.realizability:
-the two routes are compared diagram-by-diagram in the validation sweeps.
+Reversing the cyclic order at a vertex turns its bit-0 order
+(in_f, in_s, out_f, out_s) into its bit-1 order (in_f, out_s, out_f, in_s).
+So flipping every bit mirrors the map: each face is reversed and the face
+count is kept, and the complement of a spherical mask is spherical too.
+Of the two, the lesser has bit n - 1 clear, so the least spherical mask
+lies below 2**(n - 1).  This module scans the 2**(n - 1) assignments
+with the top bit clear (delegating the tight loop to gaussreal._kernels),
+which decides the same as scanning all 2**n, and reports the least one
+that embeds, together with its faces, as a witness.  It shares no theory
+with gaussreal.realizability: the two routes are compared diagram by
+diagram in the validation sweeps.
 
 Dart numbering (same conventions as the kernels): edge i runs from circle
 position i to position i+1 (mod 2n); dart 2i is its start end, dart 2i+1
@@ -27,7 +34,7 @@ from functools import cached_property
 from . import _kernels
 from .core import ChordDiagram
 
-# 2**n rotation systems are enumerated exhaustively; past this many chords
+# 2**(n - 1) rotation systems are scanned exhaustively; past this many chords
 # the search would not finish in sensible time, so refuse loudly instead.
 MAX_ORACLE_CHORDS = 24
 
@@ -165,8 +172,10 @@ def witness_for_mask(diagram: ChordDiagram, mask: int) -> EmbeddingWitness:
 def oracle_realizable(diagram: ChordDiagram, workers: int = 1) -> EmbeddingWitness | None:
     """Search all rotation systems; return the least spherical one, if any.
 
-    The empty diagram is the simple closed curve and gets a trivial
-    witness.  The witness faces are retraced in pure Python even when the
+    Only masks below 2**(n - 1) are scanned: flipping every bit mirrors the
+    embedding and keeps its face count, so the least spherical mask has
+    bit n - 1 clear.  The empty diagram is the simple closed curve and gets
+    a trivial witness.  The witness faces are retraced in pure Python even when the
     mask search ran compiled, so a kernel fault cannot fake a witness.
     """
     if diagram.n == 0:
@@ -177,10 +186,11 @@ def oracle_realizable(diagram: ChordDiagram, workers: int = 1) -> EmbeddingWitne
             % (diagram.n, MAX_ORACLE_CHORDS)
         )
     flat = _endpoints_flat(diagram)
+    stop = 1 << (diagram.n - 1)
     if workers > 1 and diagram.n >= 12:
-        mask = _parallel_search(flat, diagram.n, workers)
+        mask = _parallel_search(flat, diagram.n, stop, workers)
     else:
-        mask = _kernels.find_planar_rotation(flat, diagram.n)
+        mask = _kernels.find_planar_rotation(flat, diagram.n, 0, stop)
     if mask < 0:
         return None
     witness = witness_for_mask(diagram, mask)
@@ -196,13 +206,12 @@ def _search_chunk(args) -> int:
     return _kernels.find_planar_rotation(flat, n, start, stop)
 
 
-def _parallel_search(flat, n: int, workers: int) -> int:
-    """Partition the mask range; the least hit wins regardless of scheduling.
+def _parallel_search(flat, n: int, total: int, workers: int) -> int:
+    """Partition the masks in [0, total); the least hit wins whatever the schedule.
 
     Chunks come back in mask order, so the first hit is the least one;
     dropping the generator there terminates the pool.
     """
-    total = 1 << n
     chunks = workers * 4
     bounds = [(total * k) // chunks for k in range(chunks + 1)]
     jobs = [

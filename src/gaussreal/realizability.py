@@ -229,6 +229,22 @@ def _even(rows) -> bool:
     return True
 
 
+def _decide(rows) -> int | None:
+    """The first check that fails on crossing ``rows``, or None if all hold.
+
+    -1 names the even condition on the diagram itself, and c >= 0 the
+    smoothing of chord c, taken by the toggle rule.  Kinks are empty rows:
+    they never break the even condition and their smoothing changes
+    nothing, so they are skipped.
+    """
+    if not _even(rows):
+        return -1
+    for c, row in enumerate(rows):
+        if row and not _even(toggle_rows(rows, c)):
+            return c
+    return None
+
+
 def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
     """Drop every chord that crosses nothing.
 
@@ -254,31 +270,27 @@ def _drop_kinks(diagram: ChordDiagram, rows) -> ChordDiagram:
 def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     """Decide realizability: even condition for the diagram and all smoothings.
 
-    The verdict is computed on the crossing rows of the diagram as given,
-    with each smoothing taken by the toggle rule: kinks are empty rows,
-    which never break the even condition and whose smoothing changes
-    nothing, so the verdict is that of the kink-free diagram.  The witness
-    for a non-realizable verdict is the least one in search order: a
-    violation of the kink-free diagram itself if there is one, otherwise
-    the first chord (in index order) whose smoothing violates, with that
-    smoothing's full violation list.  Only that witness is labelled,
-    through ``even_condition`` and the word rule on the kink-free diagram.
+    The verdict is ``_decide`` on the crossing rows of the diagram as
+    given, which is that of the kink-free diagram.  The witness for a
+    non-realizable verdict is the least one in search order: a violation
+    of the kink-free diagram itself if there is one, otherwise the first
+    chord (in index order) whose smoothing violates, with that smoothing's
+    full violation list.  Only that witness is labelled, through
+    ``even_condition`` and the word rule on the kink-free diagram.
     """
     rows = interlacement(diagram).rows
+    failed = _decide(rows)
     reduced = _drop_kinks(diagram, rows)
     witness: EvenConditionViolation | SmoothingViolation | None = None
-    if not _even(rows):
+    if failed == -1:
         witness = EvenConditionViolation(report=even_condition(reduced))
-    else:
-        for c, row in enumerate(rows):
-            if row and not _even(toggle_rows(rows, c)):
-                result = smooth_by_word(reduced, diagram.labels[c])
-                witness = SmoothingViolation(
-                    chord=diagram.labels[c],
-                    smoothed_word=result.word,
-                    report=even_condition(result.diagram),
-                )
-                break
+    elif failed is not None:
+        result = smooth_by_word(reduced, diagram.labels[failed])
+        witness = SmoothingViolation(
+            chord=diagram.labels[failed],
+            smoothed_word=result.word,
+            report=even_condition(result.diagram),
+        )
     return RealizabilityReport(
         word=diagram.word,
         kink_free_word=reduced.word,

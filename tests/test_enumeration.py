@@ -116,6 +116,23 @@ def test_disagreements_are_recorded_alike_by_one_and_two_workers(monkeypatch):
     )
 
 
+def test_non_realizable_splits_carry_the_labelled_report(monkeypatch):
+    # The sweep decides without labels; a split must still carry the full
+    # report, witness included, that is_realizable gives the diagram.
+    kink = oracle_realizable(diagram_from_word("1 1"))
+    monkeypatch.setattr(enumeration, "oracle_realizable", lambda diagram: kink)
+    reports = [cross_validate(SweepConfig(max_chords=5, workers=w)) for w in (1, 2)]
+    for report in reports:
+        non_realizable = sum(row.non_realizable for row in report.rows)
+        assert len(report.disagreements) == non_realizable == 79
+        for d in report.disagreements:
+            assert d.criterion == is_realizable(diagram_from_word(d.word))
+            assert d.criterion.witness is not None and d.oracle == kink
+    assert document_to_json(reports[0].document()) == document_to_json(
+        reports[1].document()
+    )
+
+
 def test_sweep_config_rejects_empty_ranges():
     with pytest.raises(ValueError):
         SweepConfig(max_chords=0)

@@ -1,9 +1,11 @@
 """The kernels against their definitions, and the two backends against each other.
 
-The pure-Python kernels are always checked.  The tests of the compiled
-``gaussreal._speedups`` module run only when it imports: they compare it with
-``gaussreal._pure`` call for call, and check that it refuses input it cannot
-copy into its C arrays.
+The pure-Python kernels are always checked: ``canonical_key`` against its
+definition, and the incremental mask scan against a reference copy of the
+scan that refills every chord's rotation for each mask.  The tests of the
+compiled ``gaussreal._speedups`` module run only when it imports: they
+compare it with ``gaussreal._pure`` call for call, and check that it
+refuses input it cannot copy into its C arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +33,52 @@ def test_pure_canonical_key_is_the_least_relabelled_reading(word):
     readings = symmetry_variants(GaussWord.from_tokens(str(c) for c in word))
     expected = min((_first_visit_relabelling(r) for r in readings), default=())
     assert _pure.canonical_key(word) == expected
+
+
+def _full_refill_find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
+    """Reference scan: rebuild sigma for every mask and count its faces."""
+    if stop is None:
+        stop = 1 << n
+    m = 2 * n
+    darts = []
+    for c in range(n):
+        f, s = endpoints_flat[2 * c], endpoints_flat[2 * c + 1]
+        darts.append((2 * ((f - 1) % m) + 1, 2 * f, 2 * ((s - 1) % m) + 1, 2 * s))
+    sigma = [0] * (4 * n)
+    for mask in range(start, stop):
+        for c, (in_f, out_f, in_s, out_s) in enumerate(darts):
+            if (mask >> c) & 1:
+                cycle = (in_f, out_s, out_f, in_s)
+            else:
+                cycle = (in_f, in_s, out_f, out_s)
+            for k in range(4):
+                sigma[cycle[k]] = cycle[(k + 1) % 4]
+        seen = bytearray(4 * n)
+        faces = 0
+        for d0 in range(4 * n):
+            if seen[d0]:
+                continue
+            faces += 1
+            d = d0
+            while not seen[d]:
+                seen[d] = 1
+                d = sigma[d ^ 1]
+        if faces == n + 2:
+            return mask
+    return -1
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_pure_scan_matches_the_full_refill_scan(n, canonical_by_n):
+    rng = random.Random(n)
+    diagrams = canonical_by_n(n)
+    top = 1 << n
+    for diagram in rng.sample(diagrams, min(len(diagrams), 80)):
+        flat = _endpoints_flat(diagram)
+        a, b, c = (rng.randrange(top + 1) for _ in range(3))
+        for bounds in ((), (a, b), (b, a), (c, c), (0, top >> 1)):
+            expected = _full_refill_find_planar_rotation(flat, n, *bounds)
+            assert _pure.find_planar_rotation(flat, n, *bounds) == expected, bounds
 
 
 def _speedups():

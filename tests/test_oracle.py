@@ -3,7 +3,9 @@ from __future__ import annotations
 import multiprocessing
 
 import pytest
+from hypothesis import given, strategies as st
 
+from gaussreal import _pure
 from gaussreal import (
     EmptyDiagram,
     GaussWord,
@@ -17,7 +19,7 @@ from gaussreal import (
     symmetry_variants,
     trace_faces,
 )
-from gaussreal.oracle import witness_for_mask
+from gaussreal.oracle import _endpoints_flat, witness_for_mask
 
 
 def _all_rotations(n):
@@ -72,6 +74,40 @@ def test_faces_partition_darts_and_euler_is_even_and_at_most_two():
                 assert darts == list(range(4 * d.n))
                 euler = d.n - 2 * d.n + len(faces)
                 assert euler <= 2 and euler % 2 == 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flipping_every_bit_keeps_the_face_count(n, canonical_by_n):
+    full = (1 << n) - 1
+    for d in canonical_by_n(n):
+        m = build_map(d)
+        for mask in range(1 << (n - 1)):  # each complementary pair once
+            faces = trace_faces(m, RotationSystem.from_mask(n, mask))
+            mirror = trace_faces(m, RotationSystem.from_mask(n, mask ^ full))
+            assert len(faces) == len(mirror)
+
+
+def _unhalved_least_mask(diagram):
+    return _pure.find_planar_rotation(_endpoints_flat(diagram), diagram.n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_halved_search_finds_the_least_mask_of_the_full_search(n, verdicts_by_n):
+    for d, _, witness in verdicts_by_n(n):
+        mask = -1 if witness is None else witness.rotation.mask
+        assert mask == _unhalved_least_mask(d)
+
+
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.permutations(list(range(n)) * 2)
+    )
+)
+def test_halved_search_matches_the_full_search_on_random_words(word):
+    d = diagram_from_word(GaussWord.from_tokens(word))
+    witness = oracle_realizable(d)
+    mask = -1 if witness is None else witness.rotation.mask
+    assert mask == _unhalved_least_mask(d)
 
 
 def test_verdict_is_a_symmetry_invariant():
