@@ -1,15 +1,12 @@
-"""Time the hot kernels: compiled extension vs pure-Python fallback.
+"""Time the hot loops: the enumerator per level, and the rotation search.
 
-Both backends are loaded directly (ignoring the GAUSSREAL_PURE switch) and
-run on identical inputs:
-
-* ``canonical_key`` over every double-occurrence word of a given size,
-  which is the inner loop of diagram enumeration, and
+* ``canonical_keys`` for every chord count up to the given size.  The
+  enumerator is pure Python on both backends.
 * ``find_planar_rotation`` over every canonical diagram of that size, on
   the masks the embedding oracle scans, ``[0, 2**(n - 1))``; this is the
-  inner loop of the oracle.
-
-Both backends must return the same result for every timed input.
+  inner loop of the oracle.  Both backends are loaded directly (ignoring
+  the GAUSSREAL_PURE switch), run on identical inputs, and must return the
+  same result for every timed input.
 
 Usage::
 
@@ -22,8 +19,7 @@ import argparse
 import time
 from typing import Callable
 
-from gaussreal import _pure, enumerate_canonical
-from gaussreal.enumeration import _fill
+from gaussreal import _pure, canonical_keys, enumerate_canonical
 from gaussreal.oracle import _endpoints_flat
 
 try:
@@ -40,13 +36,6 @@ def _time(fn, repeat: int) -> tuple[float, list]:
         results = fn()
         best = min(best, time.perf_counter() - started)
     return best, results
-
-
-def bench_canonical(backend, words) -> Callable[[], list]:
-    def run() -> list:
-        return [backend.canonical_key(word) for word in words]
-
-    return run
 
 
 def bench_oracle(backend, flats) -> Callable[[], list]:
@@ -78,7 +67,11 @@ def main() -> None:
     if n < 1:
         parser.error("--max-chords must be at least 1")
 
-    words = [tuple(word) for word in _fill([-1] * (2 * n), 0)]
+    print("canonical_keys, per level:")
+    for level in range(1, n + 1):
+        seconds, keys = _time(lambda: canonical_keys(level), args.repeat)
+        print("  n=%-6d %8.3fs  %d keys" % (level, seconds, len(keys)))
+
     diagrams = list(enumerate_canonical(n))
     flats = [(_endpoints_flat(d), d.n, 1 << (d.n - 1)) for d in diagrams]
 
@@ -88,8 +81,6 @@ def main() -> None:
     else:
         print("extension not built; timing the pure backend only")
 
-    print("canonical_key on all %d words with %d chords:" % (len(words), n))
-    _report(backends, bench_canonical, words, args.repeat)
     print(
         "find_planar_rotation over masks [0, 2**%d) on all %d canonical"
         " diagrams with %d chords:" % (n - 1, len(diagrams), n)

@@ -1,4 +1,4 @@
-"""Kernel selection: the compiled C kernels with a pure-Python fallback.
+"""Kernel selection: the compiled rotation search with a pure-Python fallback.
 
 Set the environment variable GAUSSREAL_PURE (to anything non-empty) to force
 the pure implementations even when the extension module is importable.  The
@@ -24,7 +24,9 @@ else:
         _impl = _pure
         BACKEND = "pure"
 
-canonical_key = _impl.canonical_key
+# Canonical keys are computed once per ``core.canonicalize`` call, on no hot
+# path, so the pure implementation serves both backends.
+canonical_key = _pure.canonical_key
 find_planar_rotation = _impl.find_planar_rotation
 
 

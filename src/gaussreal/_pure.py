@@ -1,18 +1,20 @@
 """Pure-Python kernels: canonical-form minimisation and rotation search.
 
-These are the two inner loops the package spends nearly all of its time in
-during exhaustive sweeps.  gaussreal._speedups holds a C translation with
-identical semantics; gaussreal._kernels picks one at import time.  Keep the
-two implementations in lock step: tests/test_kernels.py compares them
-whenever gaussreal._speedups imports.
+``find_planar_rotation`` is the oracle's inner loop, where an exhaustive
+sweep spends most of its time.  gaussreal._speedups holds a C translation
+of it with identical semantics; gaussreal._kernels picks one at import
+time.  Keep the two in lock step: tests/test_kernels.py compares them
+whenever gaussreal._speedups imports.  ``canonical_key`` runs once per
+``core.canonicalize`` call and has no C translation; the enumerator builds
+keys directly (see gaussreal.enumeration).
 
-Input contract, for both backends: ``canonical_key`` takes an index word of
-even length m whose symbols lie in [0, m/2); ``find_planar_rotation`` takes
-0 <= n <= 63 and exactly 2n endpoints in [0, 2n), chord c at 2c and 2c+1.
-Only the C checks this (it raises ValueError), because it copies the input
-into fixed-size arrays; these functions trust it.  Every caller in the
-package passes the index word or endpoints of a ChordDiagram (the oracle
-refuses n > 24 first), so only a direct call can break the contract.
+Input contract: ``canonical_key`` takes an index word of even length m
+whose symbols lie in [0, m/2); ``find_planar_rotation`` takes 0 <= n <= 63
+and exactly 2n endpoints in [0, 2n), chord c at 2c and 2c+1.  Both
+backends of ``find_planar_rotation`` check its contract and raise
+ValueError; the C must, because it copies the input into fixed-size
+arrays.  ``canonical_key`` trusts its input: every caller passes the index
+word of a ChordDiagram.
 
 Dart/rotation conventions (shared with gaussreal.oracle):
 
@@ -41,6 +43,10 @@ Dart/rotation conventions (shared with gaussreal.oracle):
 """
 
 from __future__ import annotations
+
+# The C search takes a 64-bit handedness mask, one bit per chord; the pure
+# one keeps the same bound so that both refuse the same input.
+MAX_CHORDS = 63
 
 
 def canonical_key(index_word) -> tuple:
@@ -88,6 +94,13 @@ def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
     every chord below it turns off, so only their successor entries are
     rewritten.
     """
+    if not 0 <= n <= MAX_CHORDS:
+        raise ValueError("n = %d outside [0, %d]" % (n, MAX_CHORDS))
+    if len(endpoints_flat) != 2 * n:
+        raise ValueError("%d endpoints for %d chords" % (len(endpoints_flat), n))
+    for v in endpoints_flat:
+        if not 0 <= v < 2 * n:
+            raise ValueError("endpoint %d outside [0, %d)" % (v, 2 * n))
     if stop is None:
         stop = 1 << n
     if start >= stop:

@@ -31,91 +31,6 @@ copy_ints(PyObject *fast, Py_ssize_t m, long bound, const char *what, int *out)
     return 0;
 }
 
-/* Write into cand the first-visit relabelling of the reading of word that
- * starts at position start and runs forwards, or backwards if reverse.
- * Returns 1 if cand is lexicographically less than best, else 0; stops
- * early, leaving cand partly written, once it cannot be less. */
-static int
-reading_is_less(const int *word, Py_ssize_t m, Py_ssize_t start, int reverse,
-                int *relabel, int *cand, const int *best)
-{
-    Py_ssize_t idx = start;
-    int fresh = 0, less = 0;
-    for (Py_ssize_t k = 0; k < m / 2; k++)
-        relabel[k] = -1;
-    for (Py_ssize_t k = 0; k < m; k++) {
-        int sym = word[idx];
-        if (relabel[sym] < 0)
-            relabel[sym] = fresh++;
-        cand[k] = relabel[sym];
-        if (!less) {
-            if (cand[k] > best[k])
-                return 0;
-            less = cand[k] < best[k];
-        }
-        if (reverse)
-            idx = idx ? idx - 1 : m - 1;
-        else
-            idx = idx + 1 < m ? idx + 1 : 0;
-    }
-    return less;
-}
-
-PyDoc_STRVAR(canonical_key_doc,
-"canonical_key(index_word)\n--\n\n"
-"Least first-occurrence relabelling over rotations and reflections.");
-
-static PyObject *
-canonical_key(PyObject *self, PyObject *arg)
-{
-    PyObject *fast = PySequence_Fast(arg, "index_word must be a sequence");
-    if (fast == NULL)
-        return NULL;
-    Py_ssize_t m = PySequence_Fast_GET_SIZE(fast);
-    PyObject *result = NULL;
-    int *buf = NULL;
-    if (m % 2) {
-        PyErr_Format(PyExc_ValueError, "index word of odd length %zd", m);
-        goto done;
-    }
-    /* word, best, cand, then relabel (m / 2); +1 keeps the size nonzero. */
-    buf = PyMem_New(int, 3 * m + m / 2 + 1);
-    if (buf == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    int *word = buf, *best = buf + m, *cand = buf + 2 * m;
-    int *relabel = buf + 3 * m;
-    if (copy_ints(fast, m, (long)(m / 2), "symbol", word) < 0)
-        goto done;
-    for (Py_ssize_t k = 0; k < m; k++)
-        best[k] = INT_MAX; /* above every reading, so the first one wins */
-    for (Py_ssize_t start = 0; start < m; start++) {
-        for (int reverse = 0; reverse < 2; reverse++) {
-            if (reading_is_less(word, m, start, reverse, relabel, cand, best)) {
-                int *swap = best;
-                best = cand;
-                cand = swap;
-            }
-        }
-    }
-    result = PyTuple_New(m);
-    if (result == NULL)
-        goto done;
-    for (Py_ssize_t k = 0; k < m; k++) {
-        PyObject *item = PyLong_FromLong(best[k]);
-        if (item == NULL) {
-            Py_CLEAR(result);
-            goto done;
-        }
-        PyTuple_SET_ITEM(result, k, item);
-    }
-done:
-    PyMem_Free(buf);
-    Py_DECREF(fast);
-    return result;
-}
-
 /* Rotation at every vertex for one handedness mask; darts holds
  * (in_f, out_f, in_s, out_s) per chord. */
 static void
@@ -218,7 +133,6 @@ find_planar_rotation(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyMethodDef speedups_methods[] = {
-    {"canonical_key", canonical_key, METH_O, canonical_key_doc},
     {"find_planar_rotation", (PyCFunction)(void (*)(void))find_planar_rotation,
      METH_VARARGS | METH_KEYWORDS, find_planar_rotation_doc},
     {NULL, NULL, 0, NULL},

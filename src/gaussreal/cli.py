@@ -182,7 +182,7 @@ def _cmd_witness(args) -> int:
 def _cmd_enumerate(args) -> int:
     rows = []
     for n in range(1, args.max_chords + 1):
-        diagrams = enumerate_canonical(n, args.workers, args.require_non_isolated)
+        diagrams = enumerate_canonical(n, args.require_non_isolated)
         rows.append((n, [diagram.word.text() for diagram in diagrams]))
     doc = codec.new_document("enumeration")
     doc["max_chords"] = args.max_chords
@@ -271,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list canonical diagrams up to a size")
     p.add_argument("--max-chords", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--require-non-isolated", action="store_true")
     p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
     common(p)

@@ -1,9 +1,32 @@
 """Exhaustive enumeration of small diagrams and the dual-route validation sweep.
 
 ``enumerate_canonical`` generates every Gauss diagram with a given number
-of chords exactly once up to rotation, reflection and relabeling: it runs
-over all perfect matchings of the 2n circle positions (the second
-occurrences placed recursively), canonicalizes each word, and dedupes.
+of chords exactly once up to rotation, reflection and relabeling, as the
+canonical key of its orbit (see ``gaussreal.core``), in ascending key
+order.  It is an orderly generator: it builds only words whose chord gaps
+obey the lemma below and tests each complete one, so it holds no key set
+and, at n = 7, tests 16,060 words where canonicalising every perfect
+matching would take 135,135.
+
+It rests on one lemma.  Call the gap of a chord in a reading the distance
+from its first occurrence to its second.  Let G be the position of the
+second 0 in a canonical key w.  Then G is the least gap of any chord in
+either direction, w[1..G-1] = 1..G-1, and every chord's gap lies in
+[G, 2n - G].  (Let g be the least gap.  No chord repeats within g
+consecutive positions, so the reading that starts at a chord of gap g
+begins 0, 1, .., g-1, 0, and a reading whose first chord has a larger gap
+begins 0, 1, .., g and loses at position g.)
+
+So for G = 1..n in turn, which is ascending key order, the generator fixes
+the prefix 0, 1, .., G-1, 0 and fills the remaining positions left to
+right.  At each position it first closes an open chord, in ascending label
+order, if that chord's gap lands in [G, 2n - G]; then it opens the next
+label.  Words come out in lexicographic order.  A complete word is kept
+unless some reading of it relabels to a smaller word.  Only readings whose
+first chord has gap G need that test, because every other reading loses at
+position G; each one is relabelled only up to its first difference from
+the word.
+
 ``cross_validate`` then plays the two independent deciders against each
 other — the even-condition criterion of ``gaussreal.realizability`` and
 the rotation-system search of ``gaussreal.oracle`` — over every canonical
@@ -20,6 +43,7 @@ report for the human-readable summary only.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -31,61 +55,102 @@ from .oracle import EmbeddingWitness, oracle_realizable
 from .realizability import RealizabilityReport, _decide, is_realizable
 
 
-def _fill(word: list[int], c: int):
-    """Complete ``word`` in place, yielding it once per perfect matching.
+def _keys_with_gap(n: int, gap: int) -> Iterator[tuple[int, ...]]:
+    """Ascending canonical keys of n-chord diagrams whose least chord gap is ``gap``."""
+    m = 2 * n
+    far = m - gap
+    word = [0] * m
+    start = [0] * n  # position of each label's first occurrence
+    end = [0] * n  # and of its second
+    for c in range(gap):
+        word[c] = start[c] = c
+    end[0] = gap
+    open_ = list(range(1, gap))  # labels with one occurrence so far, ascending
 
-    Chord c takes the first free slot (-1) and, in turn, each later free
-    slot as its partner; chord c + 1 then fills the rest.
-    """
-    if -1 not in word:
-        yield word
-        return
-    first = word.index(-1)
-    word[first] = c
-    for j in range(first + 1, len(word)):
-        if word[j] == -1:
-            word[j] = c
-            yield from _fill(word, c + 1)
-            word[j] = -1
-    word[first] = -1
+    def beaten() -> bool:
+        """Whether a reading whose first chord has gap ``gap`` relabels below word."""
+        for c in range(n):
+            p, q = start[c], end[c]
+            for first, step, applies in (
+                (p, 1, q - p == gap),
+                (q, -1, q - p == gap),
+                (q, 1, q - p == far),
+                (p, -1, q - p == far),
+            ):
+                if not applies or (first == 0 and step == 1):
+                    continue
+                relabel = [-1] * n
+                fresh = 0
+                i = first
+                for expected in word:
+                    sym = word[i]
+                    label = relabel[sym]
+                    if label < 0:
+                        label = relabel[sym] = fresh
+                        fresh += 1
+                    if label != expected:
+                        if label < expected:
+                            return True
+                        break
+                    i = (i + step) % m
+        return False
+
+    def fill(p: int, fresh: int):
+        if p == m:
+            if not beaten():
+                yield tuple(word)
+            return
+        if open_:
+            oldest = p - start[open_[0]]
+            if oldest > far:
+                return
+            for k in range(len(open_)):
+                c = open_[k]
+                if p - start[c] < gap:
+                    break
+                word[p] = c
+                end[c] = p
+                del open_[k]
+                yield from fill(p + 1, fresh)
+                open_.insert(k, c)
+            if oldest == far:  # the oldest chord had to close here
+                return
+        if fresh < n:
+            word[p] = fresh
+            start[fresh] = p
+            open_.append(fresh)
+            yield from fill(p + 1, fresh + 1)
+            open_.pop()
+
+    yield from fill(gap + 1, gap)
 
 
-def _shard_keys(args) -> set:
-    """Canonical keys of every index word whose position 0 pairs with j."""
-    n, j = args
-    word = [-1] * (2 * n)
-    word[0] = word[j] = 0
-    return {_kernels.canonical_key(w) for w in _fill(word, 1)}
-
-
-def canonical_keys(n: int, workers: int = 1) -> list[tuple[int, ...]]:
-    """Sorted canonical keys of all n-chord diagrams, one per symmetry orbit.
-
-    The matching space is sharded by the partner of position 0; shards are
-    independent, so they may run in worker processes, and the merged
-    seen-set is identical either way.
-    """
+def _orderly_keys(n: int) -> Iterator[tuple[int, ...]]:
+    """Every canonical key of an n-chord diagram once, in ascending order."""
     if n < 0:
         raise ValueError("chord count must be non-negative")
     if n == 0:
-        return [()]
-    keys = set()
-    for part in _kernels._map(_shard_keys, [(n, j) for j in range(1, 2 * n)], workers):
-        keys |= part
-    return sorted(keys)
+        return iter([()])
+    return itertools.chain.from_iterable(
+        _keys_with_gap(n, gap) for gap in range(1, n + 1)
+    )
+
+
+def canonical_keys(n: int) -> list[tuple[int, ...]]:
+    """Sorted canonical keys of all n-chord diagrams, one per symmetry orbit."""
+    return list(_orderly_keys(n))
 
 
 def enumerate_canonical(
-    n: int, workers: int = 1, require_non_isolated: bool = False
+    n: int, require_non_isolated: bool = False
 ) -> Iterator[ChordDiagram]:
     """One canonical representative per n-chord diagram, in sorted key order.
 
-    The keys are computed when this is called, in ``workers`` processes if
-    more than one; the diagrams are then built lazily, one per ``next()``.
+    Keys are generated and turned into diagrams lazily, one per ``next()``.
     With ``require_non_isolated``, diagrams containing a kink (a chord that
     crosses no other) are skipped.
     """
-    diagrams = (CanonicalForm(key=key).diagram() for key in canonical_keys(n, workers))
+    diagrams = (CanonicalForm(key=key).diagram() for key in _orderly_keys(n))
     if require_non_isolated:
         return (d for d in diagrams if not interlacement(d).isolated())
     return diagrams
@@ -206,7 +271,7 @@ def cross_validate(cfg: SweepConfig) -> SweepReport:
     start = time.perf_counter()
     rows = []
     for n in range(1, cfg.max_chords + 1):
-        diagrams = enumerate_canonical(n, cfg.workers, cfg.require_non_isolated)
+        diagrams = enumerate_canonical(n, cfg.require_non_isolated)
         total = realizable = 0
         disagreements = []
         for verdict, split in _kernels._map(

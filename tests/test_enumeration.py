@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 
 import pytest
 
-from gaussreal import _kernels, enumeration
+from gaussreal import _kernels, _pure, enumeration
 from gaussreal import (
+    CanonicalForm,
     Disagreement,
     SweepConfig,
     SweepReport,
@@ -16,6 +18,7 @@ from gaussreal import (
     cross_validate,
     diagram_from_word,
     enumerate_canonical,
+    interlacement,
     is_realizable,
     oracle_realizable,
     symmetry_variants,
@@ -24,7 +27,31 @@ from gaussreal import (
 from gaussreal.codec import document_to_json
 
 # Diagrams per chord count, counted up to rotation and reflection.
-CANONICAL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 17, 5: 79}
+CANONICAL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 17, 5: 79, 6: 554, 7: 5283, 8: 65346}
+
+
+def _fill(word: list[int], c: int):
+    """Complete ``word`` in place, yielding it once per perfect matching.
+
+    Chord c takes the first free slot (-1) and, in turn, each later free
+    slot as its partner; chord c + 1 then fills the rest.
+    """
+    if -1 not in word:
+        yield word
+        return
+    first = word.index(-1)
+    word[first] = c
+    for j in range(first + 1, len(word)):
+        if word[j] == -1:
+            word[j] = c
+            yield from _fill(word, c + 1)
+            word[j] = -1
+    word[first] = -1
+
+
+def _brute_force_keys(n: int) -> list[tuple[int, ...]]:
+    """Canonicalise every perfect matching of 2n positions and dedupe."""
+    return sorted({_pure.canonical_key(w) for w in _fill([-1] * (2 * n), 0)})
 
 
 def test_small_canonical_words_are_exact():
@@ -41,9 +68,37 @@ def test_zero_chords_yields_the_empty_diagram():
     assert diagrams[0].word.text() == ""
 
 
-def test_canonical_counts(canonical_by_n):
+def test_canonical_counts():
     for n, expected in CANONICAL_COUNTS.items():
-        assert len(canonical_by_n(n)) == expected, n
+        keys = canonical_keys(n)
+        assert len(keys) == expected, n
+        assert all(a < b for a, b in zip(keys, keys[1:])), n
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_orderly_keys_match_brute_force(n):
+    assert canonical_keys(n) == _brute_force_keys(n)
+
+
+def test_require_non_isolated_filters_the_brute_force_keys():
+    for n in range(1, 7):
+        diagrams = [CanonicalForm(key=key).diagram() for key in _brute_force_keys(n)]
+        expected = [d.word.text() for d in diagrams if not interlacement(d).isolated()]
+        got = [d.word.text() for d in enumerate_canonical(n, require_non_isolated=True)]
+        assert got == expected, n
+
+
+def test_enumeration_streams():
+    # All 12-chord diagrams would take hours; the first one must not wait for them.
+    started = time.perf_counter()
+    first = next(enumerate_canonical(12))
+    assert time.perf_counter() - started < 10
+    assert first.word.text() == " ".join(str(c) for c in range(1, 13) for _ in "ab")
+
+
+def test_negative_chord_counts_are_refused():
+    with pytest.raises(ValueError):
+        enumerate_canonical(-1)
 
 
 def test_enumeration_matches_brute_force_dedupe_at_three_chords():
@@ -67,10 +122,6 @@ def test_every_orbit_reaches_the_same_canonical_form(canonical_by_n):
         expected = canonicalize(d).key
         for variant in symmetry_variants(d.word):
             assert canonicalize(" ".join(variant)).key == expected
-
-
-def test_parallel_key_generation_matches_serial():
-    assert canonical_keys(4, workers=2) == canonical_keys(4, workers=1)
 
 
 def test_map_draws_items_only_as_results_are_taken():

@@ -4,8 +4,8 @@ The pure-Python kernels are always checked: ``canonical_key`` against its
 definition, and the incremental mask scan against a reference copy of the
 scan that refills every chord's rotation for each mask.  The tests of the
 compiled ``gaussreal._speedups`` module run only when it imports: they
-compare it with ``gaussreal._pure`` call for call, and check that it
-refuses input it cannot copy into its C arrays.
+compare its rotation search with ``gaussreal._pure`` call for call.  Both
+backends must refuse input the C cannot copy into its arrays.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ def _speedups():
     return pytest.importorskip("gaussreal._speedups")
 
 
-@given(index_words)
-def test_backends_agree_on_canonical_key(word):
-    assert _speedups().canonical_key(word) == _pure.canonical_key(word)
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_backends_agree_on_planar_rotation(n, canonical_by_n):
     compiled = _speedups()
@@ -102,13 +97,11 @@ def test_backends_agree_on_planar_rotation(n, canonical_by_n):
             assert compiled.find_planar_rotation(flat, n, *bounds) == expected
 
 
-def test_compiled_kernels_refuse_malformed_input():
-    compiled = _speedups()
-    for word in ([0, 0, 1], [0, 7], [0, -1]):
-        with pytest.raises(ValueError):
-            compiled.canonical_key(word)
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_kernels_refuse_malformed_input(backend):
+    kernels = _pure if backend == "pure" else _speedups()
     for flat in ([0, 6, 1, 4, 2, 5], [0, -1, 1, 4, 2, 5], [0, 3, 1, 4, 2]):
         with pytest.raises(ValueError):
-            compiled.find_planar_rotation(flat, 3)
+            kernels.find_planar_rotation(flat, 3)
     with pytest.raises(ValueError):
-        compiled.find_planar_rotation(list(range(128)), 64, 0, 1)
+        kernels.find_planar_rotation(list(range(128)), 64, 0, 1)
