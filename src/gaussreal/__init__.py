@@ -1,13 +1,16 @@
 """Realizability of Gauss diagrams by closed plane curves.
 
 Two independent deciders live here.  ``is_realizable`` implements the
-combinatorial criterion: a diagram is realizable iff it and every one of
-its single-chord smoothings satisfy the even condition.  ``oracle_realizable``
-brute-forces rotation systems of the diagram's 4-valent graph and accepts
-iff one embeds in the plane.  ``cross_validate`` plays the two against
-each other over all canonical diagrams up to a chord bound, and the
-contour machinery (``exists_colorful_witness``) produces the re-checkable
-colorful-chord certificates behind non-realizable verdicts.
+paper's combinatorial checks: the diagram and every one of its
+single-chord smoothings satisfy the even condition.  The checks are
+necessary but not sufficient: the nine-chord diagram
+1 2 3 4 5 1 6 7 2 3 8 9 7 6 4 5 9 8 passes them and is no plane curve.
+``oracle_realizable`` brute-forces rotation systems of the diagram's
+4-valent graph and accepts iff one embeds in the plane.  ``cross_validate``
+plays the two against each other over all canonical diagrams up to a
+chord bound.  The contour machinery (``exists_colorful_witness``) looks
+for the paper's colorful-chord obstruction; it finds none on that
+nine-chord diagram either.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

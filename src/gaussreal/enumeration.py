@@ -125,14 +125,17 @@ def _keys_with_gap(n: int, gap: int) -> Iterator[tuple[int, ...]]:
     yield from fill(gap + 1, gap)
 
 
-def _orderly_keys(n: int) -> Iterator[tuple[int, ...]]:
-    """Every canonical key of an n-chord diagram once, in ascending order."""
+def _orderly_keys(n: int, least_gap: int = 1) -> Iterator[tuple[int, ...]]:
+    """Canonical keys of n-chord diagrams whose least gap is at least ``least_gap``.
+
+    Each comes once, in ascending order; the empty key stands for n = 0.
+    """
     if n < 0:
         raise ValueError("chord count must be non-negative")
     if n == 0:
         return iter([()])
     return itertools.chain.from_iterable(
-        _keys_with_gap(n, gap) for gap in range(1, n + 1)
+        _keys_with_gap(n, gap) for gap in range(least_gap, n + 1)
     )
 
 
@@ -148,9 +151,11 @@ def enumerate_canonical(
 
     Keys are generated and turned into diagrams lazily, one per ``next()``.
     With ``require_non_isolated``, diagrams containing a kink (a chord that
-    crosses no other) are skipped.
+    crosses no other) are skipped.  Keys whose least gap is 1 begin 0 0, a
+    kink, so those are never generated; a kink elsewhere is filtered out.
     """
-    diagrams = (CanonicalForm(key=key).diagram() for key in _orderly_keys(n))
+    keys = _orderly_keys(n, 2 if require_non_isolated else 1)
+    diagrams = (CanonicalForm(key=key).diagram() for key in keys)
     if require_non_isolated:
         return (d for d in diagrams if not interlacement(d).isolated())
     return diagrams

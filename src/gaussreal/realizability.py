@@ -3,9 +3,11 @@
 A realizable diagram satisfies the *even condition*: every chord crosses
 an even number of chords, and every two non-crossing chords share an even
 number of crossing partners.  The condition is necessary but not
-sufficient; the full criterion implemented by ``is_realizable`` is that
+sufficient; the criterion implemented by ``is_realizable`` is the paper's:
 the diagram *and every single-chord smoothing of it* satisfy the even
-condition.
+condition.  That too is necessary but not sufficient: the nine-chord
+diagram 1 2 3 4 5 1 6 7 2 3 8 9 7 6 4 5 9 8 passes it and is no plane
+curve.
 
 Isolated chords (crossing nothing) are curls of the curve: they never
 affect anyone's crossing sets, so the verdict is that of the kink-free
@@ -16,12 +18,22 @@ crossing sets and the smoothed word) for ``verify_witness`` to re-check
 by recomputation without repeating the search.
 
 Verdicts ride on the crossing rows of ``gaussreal.core`` (one bitset row
-per chord), read as a symmetric matrix A over GF(2): the even condition
-says exactly that A² ⊆ A entrywise (de Fraysseix & Ossona de Mendez, "On
-a characterization of Gauss codes", 1999), and smoothings are taken by
-``smoothing.toggle_rows``, the same toggle that the standing word-rule
-cross-check exercises.  Witnesses ride on the word rule for smoothing and
-on chord labels, and are built only for the first check that fails.  The
+per chord), read as a symmetric matrix A over GF(2) with zero diagonal:
+the even condition says exactly that A² ⊆ A entrywise (de Fraysseix &
+Ossona de Mendez, "On a characterization of Gauss codes", 1999).
+Smoothing chord c is a rank-one change.  With u = A[c], D = diag(u) and
+M = A with row and column c cleared, the smoothed matrix is
+A' = M + uuᵀ + D, since u has no bit c.  Expanding over GF(2), with
+uᵀD = uᵀ, D² = D and uᵀu = |u| mod 2,
+
+    A'² = M² + (Mu)uᵀ + u(Mu)ᵀ + MD + DM + |u|·uuᵀ + D,
+
+where M² is S = A² less uuᵀ, with row and column c cleared, and
+(Mu)ᵀ = S[c] without bit c.  So row a of A'² follows from S[a] in O(1)
+row operations, and each smoothing costs O(n) of them; ``_decide``
+applies the rule, and ``smoothing.toggle_rows`` is the reference it is
+tested against.  Witnesses ride on the word rule for smoothing and on
+chord labels, and are built only for the first check that fails.  The
 rotation-system route in ``gaussreal.oracle`` shares none of this code
 and is used to cross-validate these verdicts exhaustively.
 """
@@ -38,7 +50,7 @@ from .core import (
     interlacement,
     iter_bits,
 )
-from .smoothing import smooth_by_word, toggle_rows
+from .smoothing import smooth_by_word
 
 
 class WitnessMismatch(ValueError):
@@ -210,13 +222,17 @@ class RealizabilityReport:
         }
 
 
-def _even(rows) -> bool:
-    """The even condition on crossing rows, as A² ⊆ A over GF(2).
+def _decide(rows) -> int | None:
+    """The first check that fails on crossing ``rows``, or None if all hold.
 
-    Bit x of the XOR of ``rows[b]`` over the chords b crossing a is the
-    parity of the partners a and x share; bit a is the parity of a's own
-    crossing count.  So every set bit outside ``rows[a]`` is a violation.
+    -1 names the even condition on the diagram itself, and c >= 0 the
+    smoothing of chord c.  One pass builds S = A², row by row, and stops
+    at the first row with a bit outside A; each smoothing is then checked
+    from ``rows`` and S by the rank-one rule of the module docstring.
+    Kinks are empty rows: they never break the even condition and their
+    smoothing changes nothing, so they are skipped.
     """
+    squares = []
     for row in rows:
         square = 0
         rest = row
@@ -225,24 +241,41 @@ def _even(rows) -> bool:
             square ^= rows[low.bit_length() - 1]
             rest ^= low
         if square & ~row:
-            return False
-    return True
-
-
-def _decide(rows) -> int | None:
-    """The first check that fails on crossing ``rows``, or None if all hold.
-
-    -1 names the even condition on the diagram itself, and c >= 0 the
-    smoothing of chord c, taken by the toggle rule.  Kinks are empty rows:
-    they never break the even condition and their smoothing changes
-    nothing, so they are skipped.
-    """
-    if not _even(rows):
-        return -1
-    for c, row in enumerate(rows):
-        if row and not _even(toggle_rows(rows, c)):
+            return -1
+        squares.append(square)
+    for c, u in enumerate(rows):
+        if u and not _smoothing_even(rows, squares, c):
             return c
     return None
+
+
+def _smoothing_even(rows, squares, c: int) -> bool:
+    """The even condition after smoothing chord c, from A and S = A² alone.
+
+    Row a of A'² is S[a] corrected by the terms of the module docstring;
+    the chords that crossed c also take the constant part ``crossed``.
+    """
+    bit = 1 << c
+    keep = ~bit
+    u = rows[c]
+    v = squares[c] & keep
+    crossed = u ^ v
+    if u.bit_count() & 1:
+        crossed ^= u
+    for a, row in enumerate(rows):
+        if a == c:
+            continue
+        shared = row & u
+        square = (squares[a] & keep) ^ shared
+        if shared.bit_count() & 1:
+            square ^= u
+        if row & bit:
+            m = row ^ bit
+            square ^= crossed ^ m ^ (1 << a)
+            row = m ^ u ^ (1 << a)
+        if square & ~row:
+            return False
+    return True
 
 
 def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:

@@ -8,12 +8,13 @@ smoothed word is W1 (reverse of W2) W3.
 The same operation acts on the crossing relation alone: delete c and flip
 "crosses"/"does not cross" for every pair of chords that both crossed c;
 all other pairs keep their relation.  ``toggle_rows`` applies this second
-description to the crossing rows of ``gaussreal.core`` and is the one
-implementation of it: ``is_realizable`` decides every smoothing with it,
-and ``smooth_by_toggle`` wraps it for single chords.  It deliberately
-shares no code with ``smooth_by_word`` -- agreement of the two routes on
-every diagram is one of the package's standing cross-checks, so that
-check covers the toggle that decides verdicts.
+description to the crossing rows of ``gaussreal.core``, and
+``smooth_by_toggle`` wraps it for single chords.  It deliberately shares
+no code with ``smooth_by_word`` -- agreement of the two routes on every
+diagram is one of the package's standing cross-checks.  ``is_realizable``
+does not rebuild the rows: it checks each smoothing by a rank-one update
+of the squared crossing matrix (see ``gaussreal.realizability``), and
+``toggle_rows`` is the reference that update is tested against.
 """
 
 from __future__ import annotations

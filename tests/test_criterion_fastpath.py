@@ -6,25 +6,81 @@ condition of the diagram, then of every smoothing built by the word
 rule) as the reference: both must give the same document on every input.
 ``_pairwise_rows`` keeps the definition of crossing ("exactly one endpoint
 strictly inside") as the reference for the rows ``interlacement`` builds.
+``_even`` squares the rows outright and ``toggle_rows`` rebuilds each
+smoothing; together they are the reference for the rank-one check that
+``_decide`` applies to each smoothing.
 """
 
 from __future__ import annotations
+
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussreal import diagram_from_word, even_condition, interlacement, is_realizable
+from gaussreal import (
+    diagram_from_word,
+    even_condition,
+    exists_colorful_witness,
+    interlacement,
+    is_realizable,
+    oracle_realizable,
+)
 from gaussreal.realizability import (
     EvenConditionViolation,
     RealizabilityReport,
     SmoothingViolation,
-    _even,
+    _decide,
+    _smoothing_even,
     remove_isolated,
 )
 from gaussreal.smoothing import smooth_by_word, toggle_rows
 
 MAX_CHORDS = 7
+# Not a plane curve, yet it and all nine smoothings satisfy the even
+# condition: the paper's checks are necessary but not sufficient.
+NON_PLANE_9 = "1 2 3 4 5 1 6 7 2 3 8 9 7 6 4 5 9 8"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _even(rows) -> bool:
+    """The even condition on crossing rows, as A² ⊆ A over GF(2).
+
+    Bit x of the XOR of ``rows[b]`` over the chords b crossing a is the
+    parity of the partners a and x share; bit a is the parity of a's own
+    crossing count.  So every set bit outside ``rows[a]`` is a violation.
+    """
+    for row in rows:
+        square = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            square ^= rows[low.bit_length() - 1]
+            rest ^= low
+        if square & ~row:
+            return False
+    return True
+
+
+def _squares(rows) -> list[int]:
+    """Rows of A², one chord pair at a time."""
+    return [
+        sum(1 << x for x in range(len(rows)) if (row & rows[x]).bit_count() % 2)
+        for row in rows
+    ]
+
+
+def _assert_rank_one_matches_the_toggle(rows, context) -> None:
+    """Every smoothing, kinks included, whether or not the base check holds."""
+    squares = _squares(rows)
+    smoothings = [_even(toggle_rows(rows, c)) for c in range(len(rows))]
+    for c, expected in enumerate(smoothings):
+        assert _smoothing_even(rows, squares, c) == expected, (context, c)
+    failed = (c for c, even in enumerate(smoothings) if rows[c] and not even)
+    expected = next(failed, None) if _even(rows) else -1
+    assert _decide(rows) == expected, context
 
 
 def _word_rule_reference(diagram) -> RealizabilityReport:
@@ -146,3 +202,47 @@ def test_toggled_rows_match_the_word_rule_smoothing(canonical_by_n):
                 index_of = [d.index_of(lab) for lab in smoothed.labels]
                 expected = _pairwise_rows(smoothed, d.n, index_of)
                 assert toggle_rows(rows, c) == expected, (d.word.text(), label)
+
+
+def test_rank_one_check_matches_the_toggle_on_every_canonical_diagram(
+    canonical_by_n,
+):
+    for n in range(MAX_CHORDS + 1):
+        for d in canonical_by_n(n):
+            _assert_rank_one_matches_the_toggle(interlacement(d).rows, d.word.text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tokens=st.integers(0, 40).flatmap(
+        lambda n: st.permutations([str(c) for c in range(n)] * 2)
+    )
+)
+def test_rank_one_check_matches_the_toggle_on_random_words(tokens):
+    d = diagram_from_word(" ".join(tokens))
+    _assert_rank_one_matches_the_toggle(interlacement(d).rows, d.word.text())
+
+
+def test_rank_one_check_matches_the_toggle_on_polygon_words(monkeypatch):
+    # Polygon words are realizable, so _decide checks every smoothing.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from polygons import polygon_words
+
+    for n, words in polygon_words(random.Random(11), range(10, 61), 1).items():
+        d = diagram_from_word(" ".join(words[0]))
+        rows = interlacement(d).rows
+        assert _decide(rows) is None, n
+        _assert_rank_one_matches_the_toggle(rows, d.word.text())
+
+
+def test_paper_checks_accept_a_non_plane_diagram_with_nine_chords():
+    d = diagram_from_word(NON_PLANE_9)
+    rows = interlacement(d).rows
+    assert all(rows) and _even(rows)
+    for c, label in enumerate(d.labels):
+        assert _even(toggle_rows(rows, c)), label
+        assert even_condition(smooth_by_word(d, label).diagram).holds, label
+    assert _decide(rows) is None
+    assert is_realizable(d).realizable
+    assert oracle_realizable(d) is None
+    assert exists_colorful_witness(d) is None

@@ -88,6 +88,20 @@ def test_require_non_isolated_filters_the_brute_force_keys():
         assert got == expected, n
 
 
+def test_kink_free_stream_is_the_filtered_full_stream():
+    # The kink-free stream never generates keys of least gap 1.
+    assert [d.word.text() for d in enumerate_canonical(0, True)] == [""]
+    assert list(enumerate_canonical(1, True)) == []
+    for n in range(2, 8):
+        expected = [
+            d.word.text()
+            for d in enumerate_canonical(n)
+            if not interlacement(d).isolated()
+        ]
+        got = [d.word.text() for d in enumerate_canonical(n, require_non_isolated=True)]
+        assert got == expected, n
+
+
 def test_enumeration_streams():
     # All 12-chord diagrams would take hours; the first one must not wait for them.
     started = time.perf_counter()
