@@ -3,10 +3,11 @@
 * ``canonical_keys`` for every chord count up to the given size.  The
   enumerator is pure Python on both backends.
 * ``find_planar_rotation`` over every canonical diagram of that size, on
-  the masks the embedding oracle scans, ``[0, 2**(n - 1))``; this is the
-  inner loop of the oracle.  Both backends are loaded directly (ignoring
-  the GAUSSREAL_PURE switch), run on identical inputs, and must return the
-  same result for every timed input.
+  the masks the embedding oracle searches, ``[0, 2**(n - 1))``; this
+  depth-first, genus-pruned search is the inner loop of the oracle.  Both
+  backends are loaded directly (ignoring the GAUSSREAL_PURE switch), run
+  on identical inputs, and must return the same result for every timed
+  input.
 
 Usage::
 

@@ -1,6 +1,10 @@
 /* C kernels for gaussreal._kernels, with the semantics of gaussreal._pure
  * (see its docstring for the dart and handedness conventions).
  *
+ * find_planar_rotation is the depth-first, genus-pruned search for the
+ * least spherical handedness mask (the argument is in gaussreal.oracle),
+ * the same search as the pure one, node for node.
+ *
  * Inputs are small Python sequences of ints.  Each is range-checked and
  * copied once into a C array, so no index read from Python can reach past
  * an array; the rotation search then runs with the GIL released.
@@ -31,42 +35,158 @@ copy_ints(PyObject *fast, Py_ssize_t m, long bound, const char *what, int *out)
     return 0;
 }
 
-/* Rotation at every vertex for one handedness mask; darts holds
- * (in_f, out_f, in_s, out_s) per chord. */
-static void
-fill_sigma(const int *darts, int n, unsigned long long mask, int *sigma)
+/* Do the corners that edge t splits lie on one face of the sub-map of the
+ * darts ranked below r?  a and b follow t and t ^ 1 around their vertices
+ * in that sub-map. */
+static int
+same_face(const int *nxt, const int *rank, int t, int r)
 {
-    for (int c = 0; c < n; c++) {
-        int a = darts[4 * c], b = darts[4 * c + 1];
-        int x = darts[4 * c + 2], y = darts[4 * c + 3];
-        if ((mask >> c) & 1) {
-            sigma[a] = y; sigma[y] = b; sigma[b] = x; sigma[x] = a;
-        } else {
-            sigma[a] = x; sigma[x] = b; sigma[b] = y; sigma[y] = a;
-        }
+    int a = nxt[t ^ 1], b = nxt[t];
+    while (rank[a] >= r)
+        a = nxt[a ^ 1];
+    while (rank[b] >= r)
+        b = nxt[b ^ 1];
+    for (int d = a; d != b;) {
+        d = nxt[d];
+        while (rank[d] >= r)
+            d = nxt[d ^ 1];
+        if (d == a)
+            return 0;
     }
+    return 1;
 }
 
-/* Faces are the orbits of d -> sigma[d ^ 1]. */
-static int
-face_count(const int *sigma, char *seen, int num_darts)
+/* Least mask in [lo, hi) whose map is spherical, or -1; the depth-first
+ * search of gaussreal._pure, step for step.  ends holds a permutation of
+ * [0, 2n), chord c at 2c and 2c+1, and 0 <= lo < hi <= 2**n. */
+static long long
+planar_search(const int *ends, int n, unsigned long long lo,
+              unsigned long long hi)
 {
-    int faces = 0;
-    for (int d = 0; d < num_darts; d++)
-        seen[d] = 0;
-    for (int d0 = 0; d0 < num_darts; d0++) {
-        if (seen[d0])
-            continue;
-        faces++;
-        for (int d = d0; !seen[d]; d = sigma[d ^ 1])
-            seen[d] = 1;
+    int m = 2 * n;
+    int chord_at[2 * MAX_CHORDS], rank[4 * MAX_CHORDS], nxt[4 * MAX_CHORDS];
+    int slot[4 * MAX_CHORDS], succ[2][4 * MAX_CHORDS];
+    int parent[MAX_CHORDS], degree[MAX_CHORDS];
+    /* Face tests in join order, as edge dart and rank; chord c owns the
+     * entries from[c] .. to[c] - 1. */
+    int test_dart[2 * MAX_CHORDS], test_rank[2 * MAX_CHORDS];
+    int from[MAX_CHORDS], to[MAX_CHORDS];
+
+    for (int k = 0; k < m; k++)
+        chord_at[ends[k]] = k / 2;
+    for (int c = 0; c < n; c++) {
+        int f = ends[2 * c], s = ends[2 * c + 1];
+        int in_f = 2 * ((f + m - 1) % m) + 1, out_f = 2 * f;
+        int in_s = 2 * ((s + m - 1) % m) + 1, out_s = 2 * s;
+        int *p = slot + 4 * c, *s0 = succ[0] + 4 * c, *s1 = succ[1] + 4 * c;
+        p[0] = in_f ^ 1; p[1] = in_s ^ 1; p[2] = out_f ^ 1; p[3] = out_s ^ 1;
+        s0[0] = in_s; s0[1] = out_f; s0[2] = out_s; s0[3] = in_f;
+        s1[0] = out_s; s1[1] = in_f; s1[2] = in_s; s1[3] = out_f;
+        parent[c] = c;
+        degree[c] = 0;
     }
-    return faces;
+    for (int d = 0; d < 4 * n; d++)
+        nxt[d] = 0;
+    /* Edge i joins with the lower of its chords; ties go in edge order. */
+    int r = 0, tests = 0;
+    for (int c = n - 1; c >= 0; c--) {
+        from[c] = tests;
+        for (int i = 0; i < m; i++) {
+            int u = chord_at[i], v = chord_at[(i + 1) % m];
+            if ((u < v ? u : v) != c)
+                continue;
+            rank[2 * i] = rank[2 * i + 1] = r;
+            int ru = u, rv = v;
+            while (parent[ru] != ru)
+                ru = parent[ru] = parent[parent[ru]];
+            while (parent[rv] != rv)
+                rv = parent[rv] = parent[parent[rv]];
+            if (ru != rv) {
+                parent[ru] = rv;
+            } else if (u != v || degree[u]) {
+                test_dart[tests] = 2 * i;
+                test_rank[tests++] = r;
+            }
+            degree[u]++;
+            degree[v]++;
+            r++;
+        }
+        to[c] = tests;
+    }
+
+    int c = n - 1, bit = 0;
+    unsigned long long high = 0;
+    for (;;) {
+        unsigned long long base = high | ((unsigned long long)bit << c);
+        if (base >= hi)
+            return -1;
+        int ok = base + (1ULL << c) > lo;
+        if (ok) {
+            const int *p = slot + 4 * c, *v = succ[bit] + 4 * c;
+            nxt[p[0]] = v[0]; nxt[p[1]] = v[1]; nxt[p[2]] = v[2]; nxt[p[3]] = v[3];
+            for (int k = from[c]; ok && k < to[c]; k++)
+                ok = same_face(nxt, rank, test_dart[k], test_rank[k]);
+        }
+        if (ok) {
+            if (c == 0)
+                return (long long)base;
+            high = base;
+            c--;
+            bit = 0;
+            continue;
+        }
+        while (bit) {
+            if (++c == n)
+                return -1;
+            bit = (int)((high >> c) & 1);
+            high &= ~(1ULL << c);
+        }
+        bit = 1;
+    }
 }
 
 PyDoc_STRVAR(find_planar_rotation_doc,
 "find_planar_rotation(endpoints_flat, n, start=0, stop=None)\n--\n\n"
-"Least handedness mask in [start, stop) with face count n + 2, else -1.");
+"Least handedness mask in [start, stop) with face count n + 2, else -1.\n"
+"Raises ValueError unless 0 <= start and stop <= 2**n.");
+
+/* Read [start, stop) into *lo, *hi; stop is None for 2**n.  Returns 1 for
+ * a non-empty range, 0 for an empty one, and -1 with an exception set;
+ * ValueError unless 0 <= start and stop <= 2**n.  The bounds are compared
+ * as Python ints, so no value outside [0, 2**n] is ever converted. */
+static int
+mask_range(PyObject *start, PyObject *stop, Py_ssize_t n,
+           unsigned long long *lo, unsigned long long *hi)
+{
+    PyObject *zero = PyLong_FromLong(0);
+    PyObject *top = PyLong_FromUnsignedLongLong(1ULL << n);
+    int result = -1, bad = -1;
+    if (zero == NULL || top == NULL)
+        goto done;
+    if (start == NULL)
+        start = zero;
+    if (stop == Py_None)
+        stop = top;
+    bad = PyObject_RichCompareBool(start, zero, Py_LT);
+    if (bad == 0)
+        bad = PyObject_RichCompareBool(stop, top, Py_GT);
+    if (bad) {
+        if (bad > 0)
+            PyErr_Format(PyExc_ValueError, "mask range outside [0, 2**%zd]", n);
+        goto done;
+    }
+    result = PyObject_RichCompareBool(start, stop, Py_LT);
+    if (result > 0) {
+        *lo = PyLong_AsUnsignedLongLong(start);
+        *hi = PyLong_AsUnsignedLongLong(stop);
+        if (PyErr_Occurred())
+            result = -1;
+    }
+done:
+    Py_XDECREF(zero);
+    Py_XDECREF(top);
+    return result;
+}
 
 static PyObject *
 find_planar_rotation(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -82,22 +202,8 @@ find_planar_rotation(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_Format(PyExc_ValueError, "n = %zd outside [0, %d]", n, MAX_CHORDS);
         return NULL;
     }
-    unsigned long long lo = 0, hi = 1ULL << n;
-    if (start_obj != NULL) {
-        lo = PyLong_AsUnsignedLongLong(start_obj);
-        if (lo == (unsigned long long)-1 && PyErr_Occurred())
-            return NULL;
-    }
-    if (stop_obj != Py_None) {
-        hi = PyLong_AsUnsignedLongLong(stop_obj);
-        if (hi == (unsigned long long)-1 && PyErr_Occurred())
-            return NULL;
-    }
 
-    int ends[2 * MAX_CHORDS], darts[4 * MAX_CHORDS];
-    /* Zeroed like _pure's sigma, so darts no chord sets read as dart 0. */
-    int sigma[4 * MAX_CHORDS] = {0};
-    char seen[4 * MAX_CHORDS];
+    int ends[2 * MAX_CHORDS];
     PyObject *fast = PySequence_Fast(endpoints, "endpoints_flat must be a sequence");
     if (fast == NULL)
         return NULL;
@@ -110,26 +216,26 @@ find_planar_rotation(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_DECREF(fast);
     if (status < 0)
         return NULL;
-    for (int c = 0; c < n; c++) {
-        int f = ends[2 * c], s = ends[2 * c + 1];
-        darts[4 * c] = 2 * ((f + m - 1) % m) + 1;
-        darts[4 * c + 1] = 2 * f;
-        darts[4 * c + 2] = 2 * ((s + m - 1) % m) + 1;
-        darts[4 * c + 3] = 2 * s;
-    }
-
-    int found = 0;
-    unsigned long long mask;
-    Py_BEGIN_ALLOW_THREADS
-    for (mask = lo; mask < hi; mask++) {
-        fill_sigma(darts, (int)n, mask, sigma);
-        if (face_count(sigma, seen, 2 * m) == (int)n + 2) {
-            found = 1;
-            break;
+    char used[2 * MAX_CHORDS] = {0};
+    for (int k = 0; k < m; k++) {
+        if (used[ends[k]]++) {
+            PyErr_SetString(PyExc_ValueError, "endpoints repeat a circle position");
+            return NULL;
         }
     }
+
+    unsigned long long lo, hi;
+    status = mask_range(start_obj, stop_obj, n, &lo, &hi);
+    if (status <= 0)
+        return status < 0 ? NULL : PyLong_FromLong(-1);
+    if (n == 0)
+        return PyLong_FromLong(-1);
+
+    long long mask;
+    Py_BEGIN_ALLOW_THREADS
+    mask = planar_search(ends, (int)n, lo, hi);
     Py_END_ALLOW_THREADS
-    return found ? PyLong_FromUnsignedLongLong(mask) : PyLong_FromLong(-1);
+    return PyLong_FromLongLong(mask);
 }
 
 static PyMethodDef speedups_methods[] = {

@@ -14,12 +14,38 @@ Reversing the cyclic order at a vertex turns its bit-0 order
 So flipping every bit mirrors the map: each face is reversed and the face
 count is kept, and the complement of a spherical mask is spherical too.
 Of the two, the lesser has bit n - 1 clear, so the least spherical mask
-lies below 2**(n - 1).  This module scans the 2**(n - 1) assignments
-with the top bit clear (delegating the tight loop to gaussreal._kernels),
-which decides the same as scanning all 2**n, and reports the least one
-that embeds, together with its faces, as a witness.  It shares no theory
-with gaussreal.realizability: the two routes are compared diagram by
-diagram in the validation sweeps.
+lies below 2**(n - 1).  This module searches the masks with the top bit
+clear (delegating the search to gaussreal._kernels), which decides the
+same as searching all 2**n, and reports the least one that embeds,
+together with its faces, as a witness.  It shares no theory with
+gaussreal.realizability: the two routes are compared diagram by diagram
+in the validation sweeps.
+
+The search is depth first and prunes by genus.  A map with C components
+has genus g given by V - E + F = 2C - 2g; it is the sum of the genera of
+its components.  Deleting an edge or a vertex never raises a map's genus
+(Mohar & Thomassen, *Graphs on Surfaces*).  So the search joins the
+chords one at a time, each with its bit, and looks at the sub-map of the
+joined chords and the edges between them.  Once that sub-map has positive
+genus, no choice of the remaining bits gives a sphere, and the subtree is
+pruned.  The sub-map grows one edge at a time:
+
+- an edge between two components joins one face of each into one
+  (E + 1, F - 1, C - 1), so the genus stays;
+- an edge within one component whose two corners lie on one face splits
+  that face (E + 1, F + 1), so the genus stays;
+- an edge within one component whose corners lie on two faces joins them
+  (E + 1, F - 1): the genus rises by one, and the search prunes there.
+
+Which components an edge connects depends only on the order in which the
+chords join, so it is computed once per call.  A leaf that was never
+pruned is a map of genus 0.  The full map is connected, since the curve
+runs through every edge, so that leaf is a sphere with F = n + 2.  Chords
+join in the order n - 1, ..., 0, each with bit 0 first, so leaves come
+in mask order and the first one reached is the least spherical mask.
+gaussreal._pure spells out how the search walks the faces.  The worst
+case is still exponential: joining kinks never prunes, so ``1 2 1 2``
+padded with kinks to 18 chords visits all 2**18 - 1 nodes of its tree.
 
 Dart numbering (same conventions as the kernels): edge i runs from circle
 position i to position i+1 (mod 2n); dart 2i is its start end, dart 2i+1
@@ -34,8 +60,9 @@ from functools import cached_property
 from . import _kernels
 from .core import ChordDiagram
 
-# 2**(n - 1) rotation systems are scanned exhaustively; past this many chords
-# the search would not finish in sensible time, so refuse loudly instead.
+# The genus-pruned search is still exponential in the worst case, when few
+# nodes prune; past this many chords it might not finish in sensible time,
+# so refuse loudly instead.
 MAX_ORACLE_CHORDS = 24
 
 
@@ -172,7 +199,7 @@ def witness_for_mask(diagram: ChordDiagram, mask: int) -> EmbeddingWitness:
 def oracle_realizable(diagram: ChordDiagram, workers: int = 1) -> EmbeddingWitness | None:
     """Search all rotation systems; return the least spherical one, if any.
 
-    Only masks below 2**(n - 1) are scanned: flipping every bit mirrors the
+    Only masks below 2**(n - 1) are searched: flipping every bit mirrors the
     embedding and keeps its face count, so the least spherical mask has
     bit n - 1 clear.  The empty diagram is the simple closed curve and gets
     a trivial witness.  The witness faces are retraced in pure Python even when the

@@ -1,22 +1,30 @@
 """The kernels against their definitions, and the two backends against each other.
 
 The pure-Python kernels are always checked: ``canonical_key`` against its
-definition, and the incremental mask scan against a reference copy of the
-scan that refills every chord's rotation for each mask.  The tests of the
-compiled ``gaussreal._speedups`` module run only when it imports: they
-compare its rotation search with ``gaussreal._pure`` call for call.  Both
-backends must refuse input the C cannot copy into its arrays.
+definition, and the depth-first rotation search against a reference scan
+that refills every chord's rotation for each mask and counts its faces.
+The tests of the compiled ``gaussreal._speedups`` module run only when it
+imports: they compare its rotation search with ``gaussreal._pure`` call
+for call.  Both backends must refuse input the C cannot copy into its
+arrays, and mask ranges outside [0, 2**n].  Polygon words, realizable by
+construction, and their never-realizable mutants check the search at
+sizes the reference scan cannot reach.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gaussreal import GaussWord, _pure, symmetry_variants
-from gaussreal.oracle import _endpoints_flat
+from gaussreal import GaussWord, _pure, diagram_from_word, symmetry_variants
+from gaussreal.oracle import _endpoints_flat, witness_for_mask
+
+POLYGONS = Path(__file__).resolve().parent.parent / "perfbench" / "polygons.py"
 
 index_words = st.integers(min_value=0, max_value=9).flatmap(
     lambda n: st.permutations(list(range(n)) * 2)
@@ -85,6 +93,86 @@ def _speedups():
     return pytest.importorskip("gaussreal._speedups")
 
 
+def _backends() -> list:
+    """The pure kernels, and the compiled ones when they import."""
+    try:
+        from gaussreal import _speedups
+    except ImportError:
+        return [_pure]
+    return [_pure, _speedups]
+
+
+def _flat_of(index_word) -> list[int]:
+    """Endpoints of an index word, chord c at 2c and 2c + 1."""
+    ends: dict[int, list[int]] = {}
+    for position, c in enumerate(index_word):
+        ends.setdefault(c, []).append(position)
+    return [p for c in range(len(ends)) for p in ends[c]]
+
+
+@functools.cache
+def _polygons():
+    spec = importlib.util.spec_from_file_location("polygons", POLYGONS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@st.composite
+def plane_index_words(draw, chords):
+    """A polygon word with a drawn chord count, its chords renumbered."""
+    n = draw(chords)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    (word,) = _polygons().polygon_words(rng, [n], 1)[n]
+    order = draw(st.permutations(range(n)))
+    return [order[int(label) - 1] for label in word]
+
+
+# Random words almost never embed, so half the words are plane ones.
+mid_sized = st.integers(min_value=8, max_value=10)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        mid_sized.flatmap(lambda n: st.permutations(list(range(n)) * 2)),
+        plane_index_words(mid_sized),
+    ),
+    st.data(),
+)
+def test_search_matches_the_full_refill_scan_on_random_ranges(word, data):
+    n = len(word) // 2
+    flat = _flat_of(word)
+    a, b = (data.draw(st.integers(min_value=0, max_value=1 << n)) for _ in range(2))
+    for bounds in ((a, b), (min(a, b), max(a, b)), ()):
+        expected = _full_refill_find_planar_rotation(flat, n, *bounds)
+        for kernels in _backends():
+            assert kernels.find_planar_rotation(flat, n, *bounds) == expected, (
+                kernels.__name__,
+                bounds,
+            )
+
+
+def test_polygon_words_embed_and_their_mutants_do_not():
+    """16 to 24 chords: the mask retraces to Euler 2, and no mutant embeds."""
+    polygons = _polygons()
+    rng = random.Random(12)
+    words = polygons.polygon_words(rng, range(16, 25), 2)
+    for n, group in sorted(words.items()):
+        for word in group:
+            for tokens, plane in ((word, True), (polygons.mutate(rng, word), False)):
+                diagram = diagram_from_word(" ".join(tokens))
+                flat = _endpoints_flat(diagram)
+                masks = {k.find_planar_rotation(flat, n) for k in _backends()}
+                assert len(masks) == 1, (tokens, masks)
+                (mask,) = masks
+                if plane:
+                    assert mask >= 0, tokens
+                    assert witness_for_mask(diagram, mask).euler == 2, tokens
+                else:
+                    assert mask == -1, tokens
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_backends_agree_on_planar_rotation(n, canonical_by_n):
     compiled = _speedups()
@@ -105,3 +193,23 @@ def test_kernels_refuse_malformed_input(backend):
             kernels.find_planar_rotation(flat, 3)
     with pytest.raises(ValueError):
         kernels.find_planar_rotation(list(range(128)), 64, 0, 1)
+    with pytest.raises(ValueError):  # a position taken twice
+        kernels.find_planar_rotation([0, 3, 1, 4, 1, 5], 3)
+    trefoil = [0, 3, 1, 4, 2, 5]
+    crossing = [0, 2, 1, 3]
+    for flat, n, bounds in (
+        (trefoil, 3, (8, 12)),
+        (trefoil, 3, (-3, 8)),
+        (trefoil, 3, (-3,)),
+        (crossing, 2, (0, 8)),
+        (crossing, 2, (0, 1 << 70)),
+        (crossing, 2, (-(1 << 70), 2)),
+    ):
+        with pytest.raises(ValueError):
+            kernels.find_planar_rotation(flat, n, *bounds)
+    # Inside [0, 2**n], an empty range is no error; nor is a stop below 0
+    # or a start past 2**n, since either leaves the range empty.
+    for bounds in ((8, 8), (5, 3), (0, -1), (1 << 70, 8), (0, 0)):
+        assert kernels.find_planar_rotation(trefoil, 3, *bounds) == -1, bounds
+    assert kernels.find_planar_rotation(trefoil, 3, 0, 8) == 2
+    assert kernels.find_planar_rotation([], 0) == -1
