@@ -52,6 +52,13 @@ Dart/rotation conventions (shared with gaussreal.oracle):
   component.  Only those can raise the genus (see gaussreal.oracle), so
   only they get a face test.  A loop at a chord with no lower-ranked edge
   gets none: it lies in the one corner of an isolated vertex.
+- A loop chord is one whose endpoints are adjacent on the circle, so one
+  of its edges is a loop.  The two darts of that edge sit side by side
+  under both orders, so the loop bounds a monogon either way and the
+  chord's bit never changes the face count.  So a loop chord takes bit 1
+  only when start cut its bit-0 subtree short; otherwise that subtree
+  held no spherical leaf, and neither does the one under bit 1.  This
+  keeps [start, stop) exact.
 - The face test of an edge of rank r works in the sub-map of the darts
   ranked below r.  Its corner at dart t lies on the face of the first
   such dart after t around the vertex: follow ``nxt[x ^ 1]`` past darts
@@ -160,6 +167,11 @@ def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
             tests[min(u, v)].append((2 * i, r))
         degree[u] += 1
         degree[v] += 1
+    # A loop chord's bit never changes the face count (see the conventions).
+    loops = 0
+    for c in range(n):
+        if (endpoints_flat[2 * c + 1] - endpoints_flat[2 * c]) % m in (1, m - 1):
+            loops |= 1 << c
     # Per chord: its four darts reversed, and the successors they take
     # under bit 0 and under bit 1 (see the conventions above).
     entries = []
@@ -206,7 +218,9 @@ def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
                 return base
             c, bit, high = c - 1, 0, base
             continue
-        while bit:
+        # Bit 1 is next unless it was tried, or c is a loop chord whose bit-0
+        # subtree lay wholly at or above start and so held no leaf.
+        while bit or loops >> c & 1 and high >= start:
             c += 1
             if c == n:
                 return -1

@@ -110,7 +110,7 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_oracle(args) -> int:
     diagram = _parse_word(args.word)
-    witness = oracle_realizable(diagram, workers=args.workers)
+    witness = oracle_realizable(diagram)
     doc = codec.new_document("oracle")
     doc["word"] = diagram.word.text()
     doc["realizable"] = witness is not None
@@ -260,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force rotation-system realizability")
     p.add_argument("word")
-    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -43,9 +43,13 @@ pruned is a map of genus 0.  The full map is connected, since the curve
 runs through every edge, so that leaf is a sphere with F = n + 2.  Chords
 join in the order n - 1, ..., 0, each with bit 0 first, so leaves come
 in mask order and the first one reached is the least spherical mask.
+A loop chord, one whose endpoints are adjacent on the circle, bounds a
+monogon under either bit, so its bit never changes the face count: it
+takes bit 1 only when the range cut its bit-0 subtree short.
 gaussreal._pure spells out how the search walks the faces.  The worst
-case is still exponential: joining kinks never prunes, so ``1 2 1 2``
-padded with kinks to 18 chords visits all 2**18 - 1 nodes of its tree.
+case is still exponential: an isolated chord that is no loop, like the
+outer chord of ``a b b a``, never prunes, so each such pair appended to
+``1 2 1 2`` doubles the nodes visited (9,213 for ten pairs, 22 chords).
 
 Dart numbering (same conventions as the kernels): edge i runs from circle
 position i to position i+1 (mod 2n); dart 2i is its start end, dart 2i+1
@@ -196,7 +200,7 @@ def witness_for_mask(diagram: ChordDiagram, mask: int) -> EmbeddingWitness:
     )
 
 
-def oracle_realizable(diagram: ChordDiagram, workers: int = 1) -> EmbeddingWitness | None:
+def oracle_realizable(diagram: ChordDiagram) -> EmbeddingWitness | None:
     """Search all rotation systems; return the least spherical one, if any.
 
     Only masks below 2**(n - 1) are searched: flipping every bit mirrors the
@@ -213,11 +217,7 @@ def oracle_realizable(diagram: ChordDiagram, workers: int = 1) -> EmbeddingWitne
             % (diagram.n, MAX_ORACLE_CHORDS)
         )
     flat = _endpoints_flat(diagram)
-    stop = 1 << (diagram.n - 1)
-    if workers > 1 and diagram.n >= 12:
-        mask = _parallel_search(flat, diagram.n, stop, workers)
-    else:
-        mask = _kernels.find_planar_rotation(flat, diagram.n, 0, stop)
+    mask = _kernels.find_planar_rotation(flat, diagram.n, 0, 1 << (diagram.n - 1))
     if mask < 0:
         return None
     witness = witness_for_mask(diagram, mask)
@@ -226,24 +226,3 @@ def oracle_realizable(diagram: ChordDiagram, workers: int = 1) -> EmbeddingWitne
             "planar mask %d retraced to euler %d" % (mask, witness.euler)
         )
     return witness
-
-
-def _search_chunk(args) -> int:
-    flat, n, start, stop = args
-    return _kernels.find_planar_rotation(flat, n, start, stop)
-
-
-def _parallel_search(flat, n: int, total: int, workers: int) -> int:
-    """Partition the masks in [0, total); the least hit wins whatever the schedule.
-
-    Chunks come back in mask order, so the first hit is the least one;
-    dropping the generator there terminates the pool.
-    """
-    chunks = workers * 4
-    bounds = [(total * k) // chunks for k in range(chunks + 1)]
-    jobs = [
-        (flat, n, bounds[k], bounds[k + 1])
-        for k in range(chunks)
-        if bounds[k] < bounds[k + 1]
-    ]
-    return next((m for m in _kernels._map(_search_chunk, jobs, workers) if m >= 0), -1)

@@ -19,23 +19,32 @@ by recomputation without repeating the search.
 
 Verdicts ride on the crossing rows of ``gaussreal.core`` (one bitset row
 per chord), read as a symmetric matrix A over GF(2) with zero diagonal:
-the even condition says exactly that A² ⊆ A entrywise (de Fraysseix &
-Ossona de Mendez, "On a characterization of Gauss codes", 1999).
-Smoothing chord c is a rank-one change.  With u = A[c], D = diag(u) and
-M = A with row and column c cleared, the smoothed matrix is
-A' = M + uuᵀ + D, since u has no bit c.  Expanding over GF(2), with
-uᵀD = uᵀ, D² = D and uᵀu = |u| mod 2,
+the even condition says exactly that S = A² lies inside A entrywise
+(de Fraysseix & Ossona de Mendez, "On a characterization of Gauss
+codes", 1999).  Given that, smoothing chord c keeps the even condition
+iff every *triangle* on c is odd: for every two chords a, b that cross
+each other and both cross c, S[a][b] + S[a][c] + S[b][c] = 1 (mod 2).
+With u = A[c] and M = A with row and column c cleared, the smoothed
+matrix is A' = M + uuᵀ + diag(u), and expanding A'² over GF(2) gives,
+for a ≠ b,
 
-    A'² = M² + (Mu)uᵀ + u(Mu)ᵀ + MD + DM + |u|·uuᵀ + D,
+    A'²[a][b] = S[a][b] + u_b·S[a][c] + u_a·S[b][c]
+                + (u_a + u_b)·A[a][b] + u_a·u_b·(|u| + 1).
 
-where M² is S = A² less uuᵀ, with row and column c cleared, and
-(Mu)ᵀ = S[c] without bit c.  So row a of A'² follows from S[a] in O(1)
-row operations, and each smoothing costs O(n) of them; ``_decide``
-applies the rule, and ``smoothing.toggle_rows`` is the reference it is
-tested against.  Witnesses ride on the word rule for smoothing and on
-chord labels, and are built only for the first check that fails.  The
-rotation-system route in ``gaussreal.oracle`` shares none of this code
-and is used to cross-validate these verdicts exhaustively.
+A pair that crosses in A' constrains nothing.  For a pair that does
+not, with u_a·u_b = 0, every term is 0 by the base condition, since
+S[x][c] = 0 when x does not cross c; on the diagonal the entry is
+S[a][a] + u_a·|u|, and every row has even weight.  When a and b both
+cross c, they cross in A' iff they did not in A, and |u| is even, which
+leaves the triangle rule.  So one pass over the crossing pairs checks
+every smoothing; ``_decide`` applies the rule, and
+``smoothing.toggle_rows`` is the reference it is tested against.  The
+rule is the cocycle condition of the same paper on 3-cycles only, which
+is why the diagram above passes it: its odd cycle is longer than 3.
+Witnesses ride on the word rule for smoothing and on chord labels, and
+are built only for the first check that fails.  The rotation-system
+route in ``gaussreal.oracle`` shares none of this code and is used to
+cross-validate these verdicts exhaustively.
 """
 
 from __future__ import annotations
@@ -227,12 +236,15 @@ def _decide(rows) -> int | None:
 
     -1 names the even condition on the diagram itself, and c >= 0 the
     smoothing of chord c.  One pass builds S = A², row by row, and stops
-    at the first row with a bit outside A; each smoothing is then checked
-    from ``rows`` and S by the rank-one rule of the module docstring.
-    Kinks are empty rows: they never break the even condition and their
-    smoothing changes nothing, so they are skipped.
+    at the first row with a bit outside A; it keeps, per chord, the
+    partners with which it shares an even number of chords.  Then each
+    smoothing is checked by the triangle rule of the module docstring.
+    A failing triangle fails the smoothing of each of its chords, so the
+    first failing chord is the least chord of a failing triangle, and
+    chord c need only look at triangles whose other chords lie above c.
+    Kinks are empty rows and close no triangle, so they always pass.
     """
-    squares = []
+    evens = []
     for row in rows:
         square = 0
         rest = row
@@ -242,39 +254,31 @@ def _decide(rows) -> int | None:
             rest ^= low
         if square & ~row:
             return -1
-        squares.append(square)
-    for c, u in enumerate(rows):
-        if u and not _smoothing_even(rows, squares, c):
+        evens.append(row & ~square)
+    for c, row in enumerate(rows):
+        if not _triangles_odd(rows, evens, c, row >> c + 1 << c + 1):
             return c
     return None
 
 
-def _smoothing_even(rows, squares, c: int) -> bool:
-    """The even condition after smoothing chord c, from A and S = A² alone.
+def _triangles_odd(rows, evens, c: int, among: int) -> bool:
+    """Whether every triangle c, a, b with a in ``among`` is odd.
 
-    Row a of A'² is S[a] corrected by the terms of the module docstring;
-    the chords that crossed c also take the constant part ``crossed``.
+    ``among`` is a subset of ``rows[c]``, and ``evens[x]`` holds the
+    partners y of x with S[x][y] = 0.  For a chord a crossing c, the
+    chords b crossing both are ``rows[a] & rows[c]``, and the triangle
+    c, a, b is odd iff bit b of ``evens[a] ^ evens[c]`` equals bit a of
+    ``evens[c]``.  Needs the base even condition.
     """
-    bit = 1 << c
-    keep = ~bit
+    even_c = evens[c]
     u = rows[c]
-    v = squares[c] & keep
-    crossed = u ^ v
-    if u.bit_count() & 1:
-        crossed ^= u
-    for a, row in enumerate(rows):
-        if a == c:
-            continue
-        shared = row & u
-        square = (squares[a] & keep) ^ shared
-        if shared.bit_count() & 1:
-            square ^= u
-        if row & bit:
-            m = row ^ bit
-            square ^= crossed ^ m ^ (1 << a)
-            row = m ^ u ^ (1 << a)
-        if square & ~row:
+    while among:
+        low = among & -among
+        a = low.bit_length() - 1
+        common = rows[a] & u
+        if (evens[a] ^ even_c) & common != (common if even_c & low else 0):
             return False
+        among ^= low
     return True
 
 

@@ -12,9 +12,10 @@ description to the crossing rows of ``gaussreal.core``, and
 ``smooth_by_toggle`` wraps it for single chords.  It deliberately shares
 no code with ``smooth_by_word`` -- agreement of the two routes on every
 diagram is one of the package's standing cross-checks.  ``is_realizable``
-does not rebuild the rows: it checks each smoothing by a rank-one update
-of the squared crossing matrix (see ``gaussreal.realizability``), and
-``toggle_rows`` is the reference that update is tested against.
+does not rebuild the rows: it checks every smoothing at once by a parity
+rule on the triangles of the crossing graph (see
+``gaussreal.realizability``), and ``toggle_rows`` is the reference that
+rule is tested against.
 """
 
 from __future__ import annotations

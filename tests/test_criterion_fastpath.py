@@ -7,8 +7,10 @@ rule) as the reference: both must give the same document on every input.
 ``_pairwise_rows`` keeps the definition of crossing ("exactly one endpoint
 strictly inside") as the reference for the rows ``interlacement`` builds.
 ``_even`` squares the rows outright and ``toggle_rows`` rebuilds each
-smoothing; together they are the reference for the rank-one check that
-``_decide`` applies to each smoothing.
+smoothing; together they are the reference for the triangle rule that
+``_decide`` applies to every smoothing at once.  The rule holds only
+where the diagram itself passes the even condition, so the per-chord
+predicate ``_triangles_odd`` is checked there, and ``_decide`` everywhere.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from gaussreal.realizability import (
     RealizabilityReport,
     SmoothingViolation,
     _decide,
-    _smoothing_even,
+    _triangles_odd,
     remove_isolated,
 )
 from gaussreal.smoothing import smooth_by_word, toggle_rows
@@ -43,6 +45,11 @@ MAX_CHORDS = 7
 # condition: the paper's checks are necessary but not sufficient.
 NON_PLANE_9 = "1 2 3 4 5 1 6 7 2 3 8 9 7 6 4 5 9 8"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Every canonical diagram with 8 chords whose first failing check is a
+# smoothing; the tests meet only 4 such diagrams below 8 chords.
+SMOOTHING_FAILURES_8 = (
+    Path(__file__).resolve().parent / "data" / "smoothing_failures_8.txt"
+)
 
 
 def _even(rows) -> bool:
@@ -72,14 +79,19 @@ def _squares(rows) -> list[int]:
     ]
 
 
-def _assert_rank_one_matches_the_toggle(rows, context) -> None:
-    """Every smoothing, kinks included, whether or not the base check holds."""
-    squares = _squares(rows)
+def _assert_triangle_rule_matches_the_toggle(rows, context) -> None:
+    """Every smoothing, kinks included, where the base check holds.
+
+    ``_decide`` is checked on every input, whether or not the base holds.
+    """
     smoothings = [_even(toggle_rows(rows, c)) for c in range(len(rows))]
-    for c, expected in enumerate(smoothings):
-        assert _smoothing_even(rows, squares, c) == expected, (context, c)
+    base = _even(rows)
+    if base:
+        evens = [row & ~square for row, square in zip(rows, _squares(rows))]
+        for c, expected in enumerate(smoothings):
+            assert _triangles_odd(rows, evens, c, rows[c]) == expected, (context, c)
     failed = (c for c, even in enumerate(smoothings) if rows[c] and not even)
-    expected = next(failed, None) if _even(rows) else -1
+    expected = next(failed, None) if base else -1
     assert _decide(rows) == expected, context
 
 
@@ -204,12 +216,27 @@ def test_toggled_rows_match_the_word_rule_smoothing(canonical_by_n):
                 assert toggle_rows(rows, c) == expected, (d.word.text(), label)
 
 
-def test_rank_one_check_matches_the_toggle_on_every_canonical_diagram(
+def test_triangle_rule_matches_the_toggle_on_every_canonical_diagram(
     canonical_by_n,
 ):
     for n in range(MAX_CHORDS + 1):
         for d in canonical_by_n(n):
-            _assert_rank_one_matches_the_toggle(interlacement(d).rows, d.word.text())
+            _assert_triangle_rule_matches_the_toggle(
+                interlacement(d).rows, d.word.text()
+            )
+
+
+def test_every_smoothing_failure_with_eight_chords():
+    lines = SMOOTHING_FAILURES_8.read_text(encoding="utf-8").splitlines()
+    words = [line for line in lines if not line.startswith("#")]
+    assert len(words) == 30
+    for word in words:
+        d = diagram_from_word(word)
+        rows = interlacement(d).rows
+        assert _decide(rows) not in (None, -1), word
+        _assert_triangle_rule_matches_the_toggle(rows, word)
+        _assert_same_report(d)
+        assert oracle_realizable(d) is None, word
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,12 +245,12 @@ def test_rank_one_check_matches_the_toggle_on_every_canonical_diagram(
         lambda n: st.permutations([str(c) for c in range(n)] * 2)
     )
 )
-def test_rank_one_check_matches_the_toggle_on_random_words(tokens):
+def test_triangle_rule_matches_the_toggle_on_random_words(tokens):
     d = diagram_from_word(" ".join(tokens))
-    _assert_rank_one_matches_the_toggle(interlacement(d).rows, d.word.text())
+    _assert_triangle_rule_matches_the_toggle(interlacement(d).rows, d.word.text())
 
 
-def test_rank_one_check_matches_the_toggle_on_polygon_words(monkeypatch):
+def test_triangle_rule_matches_the_toggle_on_polygon_words(monkeypatch):
     # Polygon words are realizable, so _decide checks every smoothing.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from polygons import polygon_words
@@ -232,7 +259,7 @@ def test_rank_one_check_matches_the_toggle_on_polygon_words(monkeypatch):
         d = diagram_from_word(" ".join(words[0]))
         rows = interlacement(d).rows
         assert _decide(rows) is None, n
-        _assert_rank_one_matches_the_toggle(rows, d.word.text())
+        _assert_triangle_rule_matches_the_toggle(rows, d.word.text())
 
 
 def test_paper_checks_accept_a_non_plane_diagram_with_nine_chords():

@@ -8,7 +8,8 @@ imports: they compare its rotation search with ``gaussreal._pure`` call
 for call.  Both backends must refuse input the C cannot copy into its
 arrays, and mask ranges outside [0, 2**n].  Polygon words, realizable by
 construction, and their never-realizable mutants check the search at
-sizes the reference scan cannot reach.
+sizes the reference scan cannot reach.  Words padded with kinks check
+that a loop tries bit 1 only where the range cut its bit-0 subtree.
 """
 
 from __future__ import annotations
@@ -171,6 +172,25 @@ def test_polygon_words_embed_and_their_mutants_do_not():
                     assert witness_for_mask(diagram, mask).euler == 2, tokens
                 else:
                     assert mask == -1, tokens
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_loops_take_bit_one_only_when_the_range_cuts_bit_zero(backend):
+    kernels = _pure if backend == "pure" else _speedups()
+    # 1 2 1 2 is no plane curve.  With 40 kinks, a search that tried both
+    # bits of every kink would visit 2**42 - 1 nodes before giving up.
+    word = [0, 1, 0, 1] + [c for c in range(2, 42) for _ in "ab"]
+    assert kernels.find_planar_rotation(_flat_of(word), 42) == -1
+    # Kinks at both ends of the join order around a trefoil (chords 3-5):
+    # ranges that start inside a kink's bit-0 subtree must still see its
+    # bit-1 subtree.
+    word = [0, 0, 3, 4, 7, 7, 5, 3, 4, 5, 1, 1, 2, 2, 6, 6]
+    flat = _flat_of(word)
+    rng = random.Random(8)
+    for _ in range(30):
+        bounds = sorted(rng.randrange(257) for _ in range(2))
+        expected = _full_refill_find_planar_rotation(flat, 8, *bounds)
+        assert kernels.find_planar_rotation(flat, 8, *bounds) == expected, bounds
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import multiprocessing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -143,16 +142,6 @@ def test_budget_guard_refuses_huge_searches():
     curls = " ".join("%d %d" % (c, c) for c in range(1, 26))
     with pytest.raises(OracleBudgetExceeded):
         oracle_realizable(diagram_from_word(curls))
-
-
-def test_parallel_search_matches_serial():
-    curls = " ".join("%d %d" % (c, c) for c in range(1, 13))
-    serial = oracle_realizable(diagram_from_word(curls))
-    parallel = oracle_realizable(diagram_from_word(curls), workers=2)
-    assert serial == parallel
-    assert multiprocessing.active_children() == []  # the early hit ended the pool
-    tangle = "1 2 1 2 " + " ".join("%d %d" % (c, c) for c in range(3, 13))
-    assert oracle_realizable(diagram_from_word(tangle), workers=2) is None
 
 
 def test_canonical_forms_keep_the_verdict():
