@@ -52,13 +52,17 @@ Dart/rotation conventions (shared with gaussreal.oracle):
   component.  Only those can raise the genus (see gaussreal.oracle), so
   only they get a face test.  A loop at a chord with no lower-ranked edge
   gets none: it lies in the one corner of an isolated vertex.
-- A loop chord is one whose endpoints are adjacent on the circle, so one
-  of its edges is a loop.  The two darts of that edge sit side by side
-  under both orders, so the loop bounds a monogon either way and the
-  chord's bit never changes the face count.  So a loop chord takes bit 1
-  only when start cut its bit-0 subtree short; otherwise that subtree
-  held no spherical leaf, and neither does the one under bit 1.  This
-  keeps [start, stop) exact.
+- An isolated chord c crosses no other chord: the word reads c A c B,
+  where A and B each hold both ends of their chords (a loop chord, with
+  adjacent endpoints, has A or B empty).  Its vertex is a cut vertex: the
+  edges from out_f to in_s run through A, and those from out_s to in_f
+  through B.  Around the vertex, bit 0 gives in_f, in_s, out_f, out_s and
+  bit 1 gives in_f, out_s, out_f, in_s; under both, the two darts of
+  each block sit side by side.  So the map is its two blocks glued at one
+  corner, its genus is the sum of theirs, and the bit of c never changes
+  the face count.  So an isolated chord takes bit 1 only when start cut
+  its bit-0 subtree short; otherwise that subtree held no spherical leaf,
+  and neither does the one under bit 1.  This keeps [start, stop) exact.
 - The face test of an edge of rank r works in the sub-map of the darts
   ranked below r.  Its corner at dart t lies on the face of the first
   such dart after t around the vertex: follow ``nxt[x ^ 1]`` past darts
@@ -69,6 +73,9 @@ Dart/rotation conventions (shared with gaussreal.oracle):
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import xor
 
 # The C search takes a 64-bit handedness mask, one bit per chord; the pure
 # one keeps the same bound so that both refuse the same input.
@@ -91,24 +98,6 @@ def canonical_key(index_word) -> tuple:
             if best is None or key < best:
                 best = key
     return tuple(best or ())
-
-
-def _vertex_darts(endpoints_flat, n):
-    """Per chord: (in_f, out_f, in_s, out_s) under the module conventions."""
-    m = 2 * n
-    darts = []
-    for c in range(n):
-        f = endpoints_flat[2 * c]
-        s = endpoints_flat[2 * c + 1]
-        darts.append(
-            (
-                2 * ((f - 1) % m) + 1,
-                2 * f,
-                2 * ((s - 1) % m) + 1,
-                2 * s,
-            )
-        )
-    return darts
 
 
 def _check_contract(endpoints_flat, n, start, stop) -> int:
@@ -143,45 +132,56 @@ def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
     chord_at = [0] * m
     for k, p in enumerate(endpoints_flat):
         chord_at[p] = k >> 1
-    ends = [(chord_at[i], chord_at[(i + 1) % m]) for i in range(m)]
     # Edge i joins with the lower of its chords; ties go in edge order.
-    order = sorted(range(m), key=lambda i: min(ends[i]), reverse=True)
+    joins = [[] for _ in range(n)]
+    for i, u in enumerate(chord_at):
+        v = chord_at[i + 1 - m]
+        joins[u if u < v else v].append(i)
+    # prefix[p] is the XOR of 1 << chord over the positions before p.
+    prefix = list(accumulate(map((1).__lshift__, chord_at), xor, initial=0))
     rank = [0] * (4 * n)
     parent = list(range(n))
-    degree = [0] * n
     tests = [[] for _ in range(n)]
-
-    def root(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for r, i in enumerate(order):
-        rank[2 * i] = rank[2 * i + 1] = r
-        u, v = ends[i]
-        ru, rv = root(u), root(v)
-        if ru != rv:
-            parent[ru] = rv
-        elif u != v or degree[u]:
-            tests[min(u, v)].append((2 * i, r))
-        degree[u] += 1
-        degree[v] += 1
-    # A loop chord's bit never changes the face count (see the conventions).
-    loops = 0
-    for c in range(n):
-        if (endpoints_flat[2 * c + 1] - endpoints_flat[2 * c]) % m in (1, m - 1):
-            loops |= 1 << c
+    r = 0
+    for c in range(n - 1, -1, -1):
+        # Chord c joins alone; each edge to a higher chord either reaches
+        # a component it has not yet reached or closes a cycle.
+        reached = []
+        first = r
+        for i in joins[c]:
+            rank[2 * i] = rank[2 * i + 1] = r
+            v = chord_at[i] + chord_at[i + 1 - m] - c  # the edge's other chord
+            if v == c:
+                closes = r > first
+            else:
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                closes = v in reached
+                if not closes:
+                    reached.append(v)
+            if closes:
+                tests[c].append((2 * i, r))
+            r += 1
+        for v in reached:
+            parent[v] = c
     # Per chord: its four darts reversed, and the successors they take
-    # under bit 0 and under bit 1 (see the conventions above).
+    # under bit 0 and under bit 1 (see the conventions above).  An
+    # isolated chord's bit never changes the face count.
     entries = []
-    for in_f, out_f, in_s, out_s in _vertex_darts(endpoints_flat, n):
+    isolated = 0
+    for c in range(n):
+        f = endpoints_flat[2 * c]
+        s = endpoints_flat[2 * c + 1]
+        in_f, out_f = 2 * ((f - 1) % m) + 1, 2 * f
+        in_s, out_s = 2 * ((s - 1) % m) + 1, 2 * s
         entries.append(
             (
                 (in_f ^ 1, in_s ^ 1, out_f ^ 1, out_s ^ 1),
                 ((in_s, out_f, out_s, in_f), (out_s, in_f, in_s, out_f)),
             )
         )
+        if prefix[f] ^ prefix[s] == 1 << c:  # no chord has one end between
+            isolated |= 1 << c
     nxt = [0] * (4 * n)
 
     def spherical_after(c, bit):
@@ -218,9 +218,9 @@ def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
                 return base
             c, bit, high = c - 1, 0, base
             continue
-        # Bit 1 is next unless it was tried, or c is a loop chord whose bit-0
-        # subtree lay wholly at or above start and so held no leaf.
-        while bit or loops >> c & 1 and high >= start:
+        # Bit 1 is next unless it was tried, or c is an isolated chord whose
+        # bit-0 subtree lay wholly at or above start and so held no leaf.
+        while bit or isolated >> c & 1 and high >= start:
             c += 1
             if c == n:
                 return -1

@@ -3,8 +3,8 @@
  *
  * find_planar_rotation is the depth-first, genus-pruned search for the
  * least spherical handedness mask (the argument is in gaussreal.oracle),
- * the same search as the pure one, node for node: a loop chord takes
- * bit 1 only when the range's start cut its bit-0 subtree short.
+ * the same search as the pure one, node for node: an isolated chord
+ * takes bit 1 only when the range's start cut its bit-0 subtree short.
  *
  * Inputs are small Python sequences of ints.  Each is range-checked and
  * copied once into a C array, so no index read from Python can reach past
@@ -73,17 +73,20 @@ planar_search(const int *ends, int n, unsigned long long lo,
     int test_dart[2 * MAX_CHORDS], test_rank[2 * MAX_CHORDS];
     int from[MAX_CHORDS], to[MAX_CHORDS];
 
-    /* Bit c is set when chord c is a loop chord: its bit never changes
-     * the face count (see gaussreal._pure). */
-    unsigned long long loops = 0;
+    /* prefix[p] is the XOR of 1 << chord over the positions before p.
+     * Bit c of isolated is set when chord c crosses no other: its bit
+     * never changes the face count (see gaussreal._pure). */
+    unsigned long long prefix[2 * MAX_CHORDS + 1], isolated = 0;
 
     for (int k = 0; k < m; k++)
         chord_at[ends[k]] = k / 2;
+    prefix[0] = 0;
+    for (int i = 0; i < m; i++)
+        prefix[i + 1] = prefix[i] ^ (1ULL << chord_at[i]);
     for (int c = 0; c < n; c++) {
         int f = ends[2 * c], s = ends[2 * c + 1];
-        int gap = (s - f + m) % m;
-        if (gap == 1 || gap == m - 1)
-            loops |= 1ULL << c;
+        if ((prefix[f] ^ prefix[s]) == 1ULL << c)
+            isolated |= 1ULL << c;
         int in_f = 2 * ((f + m - 1) % m) + 1, out_f = 2 * f;
         int in_s = 2 * ((s + m - 1) % m) + 1, out_s = 2 * s;
         int *p = slot + 4 * c, *s0 = succ[0] + 4 * c, *s1 = succ[1] + 4 * c;
@@ -143,9 +146,10 @@ planar_search(const int *ends, int n, unsigned long long lo,
             bit = 0;
             continue;
         }
-        /* Bit 1 is next unless it was tried, or c is a loop chord whose
-         * bit-0 subtree lay wholly at or above lo and so held no leaf. */
-        while (bit || (((loops >> c) & 1) && high >= lo)) {
+        /* Bit 1 is next unless it was tried, or c is an isolated chord
+         * whose bit-0 subtree lay wholly at or above lo and so held no
+         * leaf. */
+        while (bit || (((isolated >> c) & 1) && high >= lo)) {
             if (++c == n)
                 return -1;
             bit = (int)((high >> c) & 1);

@@ -180,6 +180,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.max_chords < 0:
+        raise ValueError("max_chords must be at least 0")
     rows = []
     for n in range(1, args.max_chords + 1):
         diagrams = enumerate_canonical(n, args.require_non_isolated)

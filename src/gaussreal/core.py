@@ -29,7 +29,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import _kernels
 
@@ -62,11 +62,11 @@ class GaussWord:
             if not sym:
                 raise MalformedWord("empty token")
             counts[sym] = counts.get(sym, 0) + 1
-        bad = sorted((s for s, k in counts.items() if k != 2), key=_label_key)
+        bad = [s for s, k in counts.items() if k != 2]
         if bad:
             raise MalformedWord(
                 "every label must occur exactly twice; offending labels: %s"
-                % " ".join(bad)
+                % " ".join(sorted(bad, key=_label_key))
             )
 
     @classmethod
@@ -202,6 +202,12 @@ def crossing_labels(diagram: ChordDiagram, inter: Interlacement) -> dict[str, fr
     }
 
 
+@lru_cache(maxsize=None)
+def _numerals(n: int) -> tuple[str, ...]:
+    """The labels "1".."n" of a canonical word."""
+    return tuple([str(c + 1) for c in range(n)])
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
     """Canonical representative of a diagram's symmetry orbit.
@@ -222,7 +228,27 @@ class CanonicalForm:
         return GaussWord.from_tokens(str(c + 1) for c in self.key)
 
     def diagram(self) -> ChordDiagram:
-        return diagram_from_word(self.word)
+        """``diagram_from_word(self.word)``, built from the key in one pass.
+
+        A key numbers its chords by first occurrence, so chord c is the one
+        labelled str(c + 1), and its endpoints are where c occurs.
+        """
+        key = self.key
+        starts: list[int] = []
+        ends = [0] * len(key)
+        for p, c in enumerate(key):
+            if c == len(starts):
+                starts.append(p)
+            elif 0 <= c < len(starts):
+                ends[c] = p
+            else:  # not numbered by first occurrence
+                return diagram_from_word(self.word)
+        labels = _numerals(len(starts))
+        # GaussWord still checks that every label occurs exactly twice.
+        word = GaussWord(tuple([labels[c] for c in key]))
+        diagram = ChordDiagram(word, labels, tuple(zip(starts, ends)))
+        diagram.__dict__["position_chord"] = key  # the key is the index word
+        return diagram
 
 
 def canonicalize(diagram: ChordDiagram | GaussWord | str) -> CanonicalForm:

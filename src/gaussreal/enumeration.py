@@ -24,14 +24,17 @@ order, if that chord's gap lands in [G, 2n - G]; then it opens the next
 label.  Words come out in lexicographic order.  A complete word is kept
 unless some reading of it relabels to a smaller word.  Only readings whose
 first chord has gap G need that test, because every other reading loses at
-position G; each one is relabelled only up to its first difference from
-the word.
+position G.  Such a reading starts at an end of a chord whose gap is G or
+2n - G, so only those chords are looked at, and each reading is
+relabelled only up to its first difference from the word.
 
 ``cross_validate`` then plays the two independent deciders against each
 other — the even-condition criterion of ``gaussreal.realizability`` and
 the rotation-system search of ``gaussreal.oracle`` — over every canonical
-diagram up to a chord bound.  Diagrams stream through both deciders one at
-a time, in worker processes if asked, and only counts and disagreements
+diagram up to a chord bound.  Canonical keys stream from the calling
+process, n = 1 first, through one ``_kernels._map``.  Each key's diagram is
+built where the key is decided, in a worker process if asked, so only
+keys and verdicts cross between processes; only counts and disagreements
 are kept.  Disagreements are not errors of the harness; they are its most
 important output and are recorded with both witnesses and written out as
 re-runnable batch lines.
@@ -43,6 +46,7 @@ report for the human-readable summary only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -67,32 +71,34 @@ def _keys_with_gap(n: int, gap: int) -> Iterator[tuple[int, ...]]:
     end[0] = gap
     open_ = list(range(1, gap))  # labels with one occurrence so far, ascending
 
+    def below(first: int, step: int) -> bool:
+        """Whether reading from ``first`` by ``step`` relabels below the word."""
+        relabel = [-1] * n
+        fresh = 0
+        i = first
+        for expected in word:
+            sym = word[i]
+            label = relabel[sym]
+            if label < 0:
+                label = relabel[sym] = fresh
+                fresh += 1
+            if label != expected:
+                return label < expected
+            i = (i + step) % m
+        return False
+
     def beaten() -> bool:
-        """Whether a reading whose first chord has gap ``gap`` relabels below word."""
+        """Whether a reading whose first chord has gap ``gap`` relabels below word.
+
+        Only a chord of gap G or 2n - G starts such a reading, one from
+        each end; the reading from 0 forwards is the word itself.
+        """
         for c in range(n):
             p, q = start[c], end[c]
-            for first, step, applies in (
-                (p, 1, q - p == gap),
-                (q, -1, q - p == gap),
-                (q, 1, q - p == far),
-                (p, -1, q - p == far),
-            ):
-                if not applies or (first == 0 and step == 1):
-                    continue
-                relabel = [-1] * n
-                fresh = 0
-                i = first
-                for expected in word:
-                    sym = word[i]
-                    label = relabel[sym]
-                    if label < 0:
-                        label = relabel[sym] = fresh
-                        fresh += 1
-                    if label != expected:
-                        if label < expected:
-                            return True
-                        break
-                    i = (i + step) % m
+            if q - p == gap and ((p > 0 and below(p, 1)) or below(q, -1)):
+                return True
+            if q - p == far and (below(q, 1) or below(p, -1)):
+                return True
         return False
 
     def fill(p: int, fresh: int):
@@ -170,6 +176,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.max_chords < 1:
             raise ValueError("max_chords must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -254,51 +262,70 @@ class SweepReport:
         return lines
 
 
-# Sweep items per worker task: one diagram is too little work to ship alone.
+# Sweep items per worker task: one key is too little work to ship alone.
 _SWEEP_CHUNK = 256
 
 
-def _sweep_item(diagram: ChordDiagram) -> tuple[bool, Disagreement | None]:
-    """The criterion verdict of one diagram, and the split if the oracle differs.
+def _sweep_item(
+    key: tuple[int, ...], require_non_isolated: bool = False
+) -> tuple[int, bool, Disagreement | None] | None:
+    """Chord count and criterion verdict of one key's diagram, and any split.
 
-    Only a split needs the criterion's labelled report, so only a split
-    builds it.
+    The diagram is built here, where the item runs, so only keys travel
+    to worker processes.  With ``require_non_isolated`` a diagram with a
+    kink gives None.  Only a split needs the criterion's labelled report,
+    so only a split builds it.
     """
-    realizable = _decide(interlacement(diagram).rows) is None
+    diagram = CanonicalForm(key).diagram()
+    rows = interlacement(diagram).rows
+    if require_non_isolated and not all(rows):
+        return None
+    realizable = _decide(rows) is None
     witness = oracle_realizable(diagram)
     if realizable == (witness is not None):
-        return realizable, None
-    return realizable, Disagreement(diagram.word, is_realizable(diagram), witness)
+        return diagram.n, realizable, None
+    split = Disagreement(diagram.word, is_realizable(diagram), witness)
+    return diagram.n, realizable, split
 
 
 def cross_validate(cfg: SweepConfig) -> SweepReport:
-    """Run both deciders over every canonical diagram with n <= max_chords."""
+    """Run both deciders over every canonical diagram with n <= max_chords.
+
+    One stream of keys, n = 1 first, goes through one ``_kernels._map``.
+    """
     start = time.perf_counter()
-    rows = []
-    for n in range(1, cfg.max_chords + 1):
-        diagrams = enumerate_canonical(n, cfg.require_non_isolated)
-        total = realizable = 0
-        disagreements = []
-        for verdict, split in _kernels._map(
-            _sweep_item, diagrams, cfg.workers, _SWEEP_CHUNK
-        ):
-            total += 1
-            realizable += verdict
-            if split is not None:
-                disagreements.append(split)
-        rows.append(
-            SweepRow(
-                n=n,
-                total=total,
-                realizable=realizable,
-                non_realizable=total - realizable,
-                disagreements=tuple(disagreements),
-            )
+    least_gap = 2 if cfg.require_non_isolated else 1
+    keys = itertools.chain.from_iterable(
+        _orderly_keys(n, least_gap) for n in range(1, cfg.max_chords + 1)
+    )
+    item = functools.partial(
+        _sweep_item, require_non_isolated=cfg.require_non_isolated
+    )
+    total = [0] * (cfg.max_chords + 1)  # indexed by n
+    realizable = [0] * (cfg.max_chords + 1)
+    disagreements: list[list[Disagreement]] = [[] for _ in total]
+    for result in _kernels._map(item, keys, cfg.workers, _SWEEP_CHUNK):
+        if result is None:
+            continue
+        n, verdict, split = result
+        total[n] += 1
+        realizable[n] += verdict
+        if split is not None:
+            disagreements[n].append(split)
+    rows = tuple(
+        SweepRow(
+            n=n,
+            total=total[n],
+            realizable=realizable[n],
+            non_realizable=total[n] - realizable[n],
+            disagreements=tuple(disagreements[n]),
         )
+        for n in range(1, cfg.max_chords + 1)
+    )
     return SweepReport(
         max_chords=cfg.max_chords,
         require_non_isolated=cfg.require_non_isolated,
-        rows=tuple(rows),
+        rows=rows,
         wall_time=time.perf_counter() - start,
     )
 

@@ -43,13 +43,20 @@ pruned is a map of genus 0.  The full map is connected, since the curve
 runs through every edge, so that leaf is a sphere with F = n + 2.  Chords
 join in the order n - 1, ..., 0, each with bit 0 first, so leaves come
 in mask order and the first one reached is the least spherical mask.
-A loop chord, one whose endpoints are adjacent on the circle, bounds a
-monogon under either bit, so its bit never changes the face count: it
-takes bit 1 only when the range cut its bit-0 subtree short.
-gaussreal._pure spells out how the search walks the faces.  The worst
-case is still exponential: an isolated chord that is no loop, like the
-outer chord of ``a b b a``, never prunes, so each such pair appended to
-``1 2 1 2`` doubles the nodes visited (9,213 for ten pairs, 22 chords).
+An isolated chord, one that crosses no other chord, is a cut vertex of
+the map: the word reads c A c B with A and B closed, and under either
+bit the two darts that run into A sit side by side around c, as do the
+two that run into B.  So the map is two blocks glued at one corner, its
+genus is the sum of theirs, and the chord's bit never changes the face
+count: it takes bit 1 only when the range cut its bit-0 subtree short.
+A loop chord, with adjacent endpoints, is the case where A or B is
+empty.  gaussreal._pure spells out how the search walks the faces.  The
+worst case is still exponential: a summand that keeps several of its own
+rotations spherical multiplies the leaves the search must reach.  Each
+trefoil summand ``a b c a b c`` appended to ``1 2 1 2`` doubles the nodes
+visited (1,273 for seven summands, 23 chords), while ``a b b a`` shells,
+whose outer chord is isolated, add two nodes each (28 for eleven shells,
+24 chords).
 
 Dart numbering (same conventions as the kernels): edge i runs from circle
 position i to position i+1 (mod 2n); dart 2i is its start end, dart 2i+1
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import _kernels
 from .core import ChordDiagram
@@ -181,11 +189,7 @@ def trace_faces(fmap: FourValentMap, rotation: RotationSystem) -> tuple[tuple[in
 
 
 def _endpoints_flat(diagram: ChordDiagram) -> list[int]:
-    out = []
-    for p, q in diagram.endpoints:
-        out.append(p)
-        out.append(q)
-    return out
+    return list(chain.from_iterable(diagram.endpoints))
 
 
 def witness_for_mask(diagram: ChordDiagram, mask: int) -> EmbeddingWitness:

@@ -253,6 +253,21 @@ def test_enumerate_require_non_isolated_drops_kinked_diagrams(capsys):
     ]
 
 
+def test_enumerate_refuses_a_negative_bound(capsys):
+    code, out, err = _run(capsys, "enumerate", "--max-chords", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: max_chords must be at least 0\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cross_validate_refuses_fewer_than_one_worker(capsys, workers):
+    code, out, err = _run(
+        capsys, "cross-validate", "--max-chords", "2", "--workers", workers
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: workers must be at least 1\n"
+
+
 def test_cross_validate_text_summary(capsys):
     code, out, _ = _run(capsys, "cross-validate", "--max-chords", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import time
@@ -25,6 +26,7 @@ from gaussreal import (
     write_counterexamples,
 )
 from gaussreal.codec import document_to_json
+from gaussreal.core import MalformedWord
 
 # Diagrams per chord count, counted up to rotation and reflection.
 CANONICAL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 17, 5: 79, 6: 554, 7: 5283, 8: 65346}
@@ -68,11 +70,27 @@ def test_zero_chords_yields_the_empty_diagram():
     assert diagrams[0].word.text() == ""
 
 
+# SHA-256 of each level's keys, as bytes, one after another in stream order.
+KEY_STREAM_SHA256 = {
+    0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    1: "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+    2: "555c0d0cb8bdab0bd66b2c2c1e4a65ac4796468ca58b029c4e5471fa31b5fcbb",
+    3: "a70474a9753fee672b7c28ac24cfcbfa4458d86767f5034d0b17b408023be989",
+    4: "b0ee635bbc139dc164c50373af16bbb3b101b20a2910469d166c1808cf71b5af",
+    5: "4912758cbd857675c3b9285d28a5b623c8f5c9ee8951d038e6a1acfa4a9d8c5b",
+    6: "3e78d1e7944498b5f090298d7573727dfb8a3151e761e270cf9387d7f214d83d",
+    7: "597894578656ca007ba02ac72050195fca955b0d2674f4095545d1aabe66e209",
+    8: "9b4fae5b81e395a8dae901262059a8269306525b4c10e78206aa09b1fb25fb7e",
+}
+
+
 def test_canonical_counts():
     for n, expected in CANONICAL_COUNTS.items():
         keys = canonical_keys(n)
         assert len(keys) == expected, n
         assert all(a < b for a, b in zip(keys, keys[1:])), n
+        stream = b"".join(bytes(key) for key in keys)
+        assert hashlib.sha256(stream).hexdigest() == KEY_STREAM_SHA256[n], n
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -138,6 +156,32 @@ def test_every_orbit_reaches_the_same_canonical_form(canonical_by_n):
             assert canonicalize(" ".join(variant)).key == expected
 
 
+@pytest.mark.parametrize("require_non_isolated", [False, True])
+def test_diagrams_built_from_keys_match_the_word_route(require_non_isolated):
+    least_gap = 2 if require_non_isolated else 1
+    for n in range(0, 8):
+        for key in enumeration._orderly_keys(n, least_gap):
+            form = CanonicalForm(key=key)
+            built, parsed = form.diagram(), diagram_from_word(form.word)
+            assert built == parsed, key
+            assert built.position_chord == parsed.position_chord, key
+
+
+def test_keys_not_numbered_by_first_occurrence_take_the_word_route():
+    for key in ((1, 0, 1, 0), (0, 5, 0, 5), (-1, -1)):
+        form = CanonicalForm(key=key)
+        assert form.diagram() == diagram_from_word(form.word), key
+    with pytest.raises(MalformedWord):
+        CanonicalForm(key=(0, 1, 0, 0)).diagram()
+
+
+def test_sweep_items_drop_kinked_diagrams_only_when_asked():
+    for key in enumeration._orderly_keys(5):
+        kinked = bool(interlacement(CanonicalForm(key=key).diagram()).isolated())
+        assert enumeration._sweep_item(key)[0] == 5
+        assert (enumeration._sweep_item(key, True) is None) == kinked, key
+
+
 def test_map_draws_items_only_as_results_are_taken():
     drawn = []
 
@@ -156,7 +200,7 @@ def test_parallel_sweep_document_matches_serial(require_non_isolated):
         document_to_json(
             cross_validate(
                 SweepConfig(
-                    max_chords=5,
+                    max_chords=6,
                     require_non_isolated=require_non_isolated,
                     workers=workers,
                 )
@@ -201,6 +245,9 @@ def test_non_realizable_splits_carry_the_labelled_report(monkeypatch):
 def test_sweep_config_rejects_empty_ranges():
     with pytest.raises(ValueError):
         SweepConfig(max_chords=0)
+    for workers in (0, -2):
+        with pytest.raises(ValueError):
+            SweepConfig(max_chords=3, workers=workers)
 
 
 def test_cross_validation_counts_and_agreement():

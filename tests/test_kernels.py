@@ -8,8 +8,9 @@ imports: they compare its rotation search with ``gaussreal._pure`` call
 for call.  Both backends must refuse input the C cannot copy into its
 arrays, and mask ranges outside [0, 2**n].  Polygon words, realizable by
 construction, and their never-realizable mutants check the search at
-sizes the reference scan cannot reach.  Words padded with kinks check
-that a loop tries bit 1 only where the range cut its bit-0 subtree.
+sizes the reference scan cannot reach.  Words padded with kinks, and
+words with ``a b b a`` shells, check that an isolated chord tries bit 1
+only where the range cut its bit-0 subtree.
 """
 
 from __future__ import annotations
@@ -191,6 +192,48 @@ def test_loops_take_bit_one_only_when_the_range_cuts_bit_zero(backend):
         bounds = sorted(rng.randrange(257) for _ in range(2))
         expected = _full_refill_find_planar_rotation(flat, 8, *bounds)
         assert kernels.find_planar_rotation(flat, 8, *bounds) == expected, bounds
+
+
+@st.composite
+def shell_words(draw):
+    """A core word with ``a b b a`` shells inserted, chords renumbered.
+
+    The outer chord of a shell crosses no chord but is no loop; the core
+    is 1 2 1 2 (no plane curve) or the trefoil (a plane curve).
+    """
+    word = list(draw(st.sampled_from([(0, 1, 0, 1), (0, 1, 2, 0, 1, 2)])))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        a = len(word) // 2
+        at = draw(st.integers(min_value=0, max_value=len(word)))
+        word[at:at] = [a, a + 1, a + 1, a]
+    order = draw(st.permutations(range(len(word) // 2)))
+    return [order[c] for c in word]
+
+
+@settings(deadline=None)
+@given(shell_words(), st.data())
+def test_isolated_chords_take_bit_one_only_when_the_range_cuts_bit_zero(word, data):
+    n = len(word) // 2
+    flat = _flat_of(word)
+    a, b = (data.draw(st.integers(min_value=0, max_value=1 << n)) for _ in range(2))
+    for bounds in ((min(a, b), max(a, b)), (0, 1 << (n - 1)), ()):
+        expected = _full_refill_find_planar_rotation(flat, n, *bounds)
+        for kernels in _backends():
+            assert kernels.find_planar_rotation(flat, n, *bounds) == expected, (
+                kernels.__name__,
+                bounds,
+            )
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_shells_do_not_make_the_search_exhaustive(backend):
+    kernels = _pure if backend == "pure" else _speedups()
+    # 1 2 1 2 with 30 shells on either side: a search that tried both bits
+    # of every outer chord would visit about 2**30 nodes before giving up.
+    word = [0, 1, 0, 1]
+    for a in range(2, 62, 2):
+        word = [a, a + 1, a + 1, a] + word if a % 4 else word + [a, a + 1, a + 1, a]
+    assert kernels.find_planar_rotation(_flat_of(word), 62) == -1
 
 
 @pytest.mark.parametrize("n", range(1, 8))
