@@ -2,9 +2,9 @@
 
 * ``canonical_keys`` for every chord count up to the given size.  The
   enumerator is pure Python on both backends.
-* ``find_planar_rotation`` over every canonical diagram of that size, on
-  the masks the embedding oracle searches, ``[0, 2**(n - 1))``; this
-  depth-first, genus-pruned search is the inner loop of the oracle.  Both
+* ``find_planar_rotation`` over every canonical diagram of that size,
+  called as the embedding oracle calls it; this depth-first,
+  genus-pruned search is the inner loop of the oracle.  Both
   backends are loaded directly (ignoring the GAUSSREAL_PURE switch), run
   on identical inputs, and must return the same result for every timed
   input.
@@ -41,9 +41,7 @@ def _time(fn, repeat: int) -> tuple[float, list]:
 
 def bench_oracle(backend, flats) -> Callable[[], list]:
     def run() -> list:
-        return [
-            backend.find_planar_rotation(flat, n, 0, stop) for flat, n, stop in flats
-        ]
+        return [backend.find_planar_rotation(flat, n) for flat, n in flats]
 
     return run
 
@@ -74,7 +72,7 @@ def main() -> None:
         print("  n=%-6d %8.3fs  %d keys" % (level, seconds, len(keys)))
 
     diagrams = list(enumerate_canonical(n))
-    flats = [(_endpoints_flat(d), d.n, 1 << (d.n - 1)) for d in diagrams]
+    flats = [(_endpoints_flat(d), d.n) for d in diagrams]
 
     backends = [("pure", _pure)]
     if _speedups is not None:
@@ -83,8 +81,8 @@ def main() -> None:
         print("extension not built; timing the pure backend only")
 
     print(
-        "find_planar_rotation over masks [0, 2**%d) on all %d canonical"
-        " diagrams with %d chords:" % (n - 1, len(diagrams), n)
+        "find_planar_rotation on all %d canonical diagrams with %d chords:"
+        % (len(diagrams), n)
     )
     _report(backends, bench_oracle, flats, args.repeat)
 

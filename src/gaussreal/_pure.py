@@ -9,9 +9,8 @@ whenever gaussreal._speedups imports.  ``canonical_key`` runs once per
 keys directly (see gaussreal.enumeration).
 
 Input contract: ``canonical_key`` takes an index word of even length m
-whose symbols lie in [0, m/2); ``find_planar_rotation`` takes 0 <= n <= 63,
-2n distinct endpoints in [0, 2n), chord c at 2c and 2c+1, and a mask
-range with 0 <= start and stop <= 2**n (start >= stop gives -1).  Both
+whose symbols lie in [0, m/2); ``find_planar_rotation`` takes 0 <= n <= 63
+and 2n distinct endpoints in [0, 2n), chord c at 2c and 2c+1.  Both
 backends of ``find_planar_rotation`` check its contract and raise
 ValueError; the C must, because it copies the input into fixed-size
 arrays and its search relies on the endpoints forming a map.
@@ -43,8 +42,9 @@ Dart/rotation conventions (shared with gaussreal.oracle):
   ``out_f ^ 1`` and ``out_s ^ 1``.
 - It is depth first.  Chords join in the order n - 1, ..., 0, and each
   tries bit 0 before bit 1, so leaves come in mask order.  A node rewrites
-  only the four entries of its chord.  A subtree whose masks miss
-  [start, stop) is skipped.
+  only the four entries of its chord.  The chords whose bits are fixed
+  try bit 0 only: chord n - 1, since the mirror of a spherical mask is
+  spherical (see gaussreal.oracle), and every isolated chord (below).
 - Edge i joins with the lower of its two chords; edges that join with the
   same chord go in edge order.  This order ranks the edges, and a dart
   takes its edge's rank.  A union-find over the chords, run once per call
@@ -60,9 +60,8 @@ Dart/rotation conventions (shared with gaussreal.oracle):
   bit 1 gives in_f, out_s, out_f, in_s; under both, the two darts of
   each block sit side by side.  So the map is its two blocks glued at one
   corner, its genus is the sum of theirs, and the bit of c never changes
-  the face count.  So an isolated chord takes bit 1 only when start cut
-  its bit-0 subtree short; otherwise that subtree held no spherical leaf,
-  and neither does the one under bit 1.  This keeps [start, stop) exact.
+  the face count, and its bit is fixed: when its bit-0 subtree holds no
+  spherical leaf, neither does the one under bit 1.
 - The face test of an edge of rank r works in the sub-map of the darts
   ranked below r.  Its corner at dart t lies on the face of the first
   such dart after t around the vertex: follow ``nxt[x ^ 1]`` past darts
@@ -100,8 +99,8 @@ def canonical_key(index_word) -> tuple:
     return tuple(best or ())
 
 
-def _check_contract(endpoints_flat, n, start, stop) -> int:
-    """Raise ValueError on input outside the contract; return ``stop``."""
+def _check_contract(endpoints_flat, n) -> None:
+    """Raise ValueError on input outside the contract."""
     if not 0 <= n <= MAX_CHORDS:
         raise ValueError("n = %d outside [0, %d]" % (n, MAX_CHORDS))
     if len(endpoints_flat) != 2 * n:
@@ -111,22 +110,16 @@ def _check_contract(endpoints_flat, n, start, stop) -> int:
             raise ValueError("endpoint %d outside [0, %d)" % (v, 2 * n))
     if len(set(endpoints_flat)) != 2 * n:
         raise ValueError("endpoints repeat a circle position")
-    if stop is None:
-        stop = 1 << n
-    if start < 0 or stop > 1 << n:
-        raise ValueError("mask range [%d, %d) outside [0, 2**%d]" % (start, stop, n))
-    return stop
 
 
-def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
-    """Least handedness mask in [start, stop) with a spherical embedding.
+def find_planar_rotation(endpoints_flat, n) -> int:
+    """Least handedness mask with a spherical embedding, or -1 if none.
 
-    Returns -1 when no mask in the range yields face count n + 2.  Raises
-    ValueError unless 0 <= start and stop <= 2**n; the search is the one in
-    the conventions above.
+    The mask has face count n + 2; the search is the one in the
+    conventions above, so it never returns a mask with bit n - 1 set.
     """
-    stop = _check_contract(endpoints_flat, n, start, stop)
-    if start >= stop or n == 0:
+    _check_contract(endpoints_flat, n)
+    if n == 0:
         return -1
     m = 2 * n
     chord_at = [0] * m
@@ -165,10 +158,11 @@ def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
         for v in reached:
             parent[v] = c
     # Per chord: its four darts reversed, and the successors they take
-    # under bit 0 and under bit 1 (see the conventions above).  An
-    # isolated chord's bit never changes the face count.
+    # under bit 0 and under bit 1 (see the conventions above).  Fixed
+    # chords try bit 0 only: an isolated chord's bit never changes the face
+    # count, and the top chord's is the mirror choice.
     entries = []
-    isolated = 0
+    fixed = 1 << (n - 1)
     for c in range(n):
         f = endpoints_flat[2 * c]
         s = endpoints_flat[2 * c + 1]
@@ -181,7 +175,7 @@ def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
             )
         )
         if prefix[f] ^ prefix[s] == 1 << c:  # no chord has one end between
-            isolated |= 1 << c
+            fixed |= 1 << c
     nxt = [0] * (4 * n)
 
     def spherical_after(c, bit):
@@ -210,17 +204,14 @@ def find_planar_rotation(endpoints_flat, n, start=0, stop=None) -> int:
     # Depth first: chord c is next to join, with bits `high` above it.
     c, bit, high = n - 1, 0, 0
     while True:
-        base = high | bit << c
-        if base >= stop:
-            return -1
-        if base + (1 << c) > start and spherical_after(c, bit):
+        if spherical_after(c, bit):
+            high |= bit << c
             if c == 0:
-                return base
-            c, bit, high = c - 1, 0, base
+                return high
+            c, bit = c - 1, 0
             continue
-        # Bit 1 is next unless it was tried, or c is an isolated chord whose
-        # bit-0 subtree lay wholly at or above start and so held no leaf.
-        while bit or isolated >> c & 1 and high >= start:
+        # Bit 1 is next unless it was tried or c is fixed.
+        while bit or fixed >> c & 1:
             c += 1
             if c == n:
                 return -1

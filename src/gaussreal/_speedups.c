@@ -3,8 +3,8 @@
  *
  * find_planar_rotation is the depth-first, genus-pruned search for the
  * least spherical handedness mask (the argument is in gaussreal.oracle),
- * the same search as the pure one, node for node: an isolated chord
- * takes bit 1 only when the range's start cut its bit-0 subtree short.
+ * the same search as the pure one, node for node: the top chord and
+ * every isolated chord try bit 0 only.
  *
  * Inputs are small Python sequences of ints.  Each is range-checked and
  * copied once into a C array, so no index read from Python can reach past
@@ -57,12 +57,11 @@ same_face(const int *nxt, const int *rank, int t, int r)
     return 1;
 }
 
-/* Least mask in [lo, hi) whose map is spherical, or -1; the depth-first
- * search of gaussreal._pure, step for step.  ends holds a permutation of
- * [0, 2n), chord c at 2c and 2c+1, and 0 <= lo < hi <= 2**n. */
+/* Least mask whose map is spherical, or -1; the depth-first search of
+ * gaussreal._pure, step for step.  ends holds a permutation of [0, 2n),
+ * chord c at 2c and 2c+1, and 1 <= n. */
 static long long
-planar_search(const int *ends, int n, unsigned long long lo,
-              unsigned long long hi)
+planar_search(const int *ends, int n)
 {
     int m = 2 * n;
     int chord_at[2 * MAX_CHORDS], rank[4 * MAX_CHORDS], nxt[4 * MAX_CHORDS];
@@ -74,9 +73,10 @@ planar_search(const int *ends, int n, unsigned long long lo,
     int from[MAX_CHORDS], to[MAX_CHORDS];
 
     /* prefix[p] is the XOR of 1 << chord over the positions before p.
-     * Bit c of isolated is set when chord c crosses no other: its bit
-     * never changes the face count (see gaussreal._pure). */
-    unsigned long long prefix[2 * MAX_CHORDS + 1], isolated = 0;
+     * The chords in fixed try bit 0 only: the top chord, whose bit is the
+     * mirror choice, and each chord that crosses no other, whose bit never
+     * changes the face count (see gaussreal._pure). */
+    unsigned long long prefix[2 * MAX_CHORDS + 1], fixed = 1ULL << (n - 1);
 
     for (int k = 0; k < m; k++)
         chord_at[ends[k]] = k / 2;
@@ -86,7 +86,7 @@ planar_search(const int *ends, int n, unsigned long long lo,
     for (int c = 0; c < n; c++) {
         int f = ends[2 * c], s = ends[2 * c + 1];
         if ((prefix[f] ^ prefix[s]) == 1ULL << c)
-            isolated |= 1ULL << c;
+            fixed |= 1ULL << c;
         int in_f = 2 * ((f + m - 1) % m) + 1, out_f = 2 * f;
         int in_s = 2 * ((s + m - 1) % m) + 1, out_s = 2 * s;
         int *p = slot + 4 * c, *s0 = succ[0] + 4 * c, *s1 = succ[1] + 4 * c;
@@ -128,28 +128,21 @@ planar_search(const int *ends, int n, unsigned long long lo,
     int c = n - 1, bit = 0;
     unsigned long long high = 0;
     for (;;) {
-        unsigned long long base = high | ((unsigned long long)bit << c);
-        if (base >= hi)
-            return -1;
-        int ok = base + (1ULL << c) > lo;
+        const int *p = slot + 4 * c, *v = succ[bit] + 4 * c;
+        nxt[p[0]] = v[0]; nxt[p[1]] = v[1]; nxt[p[2]] = v[2]; nxt[p[3]] = v[3];
+        int ok = 1;
+        for (int k = from[c]; ok && k < to[c]; k++)
+            ok = same_face(nxt, rank, test_dart[k], test_rank[k]);
         if (ok) {
-            const int *p = slot + 4 * c, *v = succ[bit] + 4 * c;
-            nxt[p[0]] = v[0]; nxt[p[1]] = v[1]; nxt[p[2]] = v[2]; nxt[p[3]] = v[3];
-            for (int k = from[c]; ok && k < to[c]; k++)
-                ok = same_face(nxt, rank, test_dart[k], test_rank[k]);
-        }
-        if (ok) {
+            high |= (unsigned long long)bit << c;
             if (c == 0)
-                return (long long)base;
-            high = base;
+                return (long long)high;
             c--;
             bit = 0;
             continue;
         }
-        /* Bit 1 is next unless it was tried, or c is an isolated chord
-         * whose bit-0 subtree lay wholly at or above lo and so held no
-         * leaf. */
-        while (bit || (((isolated >> c) & 1) && high >= lo)) {
+        /* Bit 1 is next unless it was tried or c is fixed. */
+        while (bit || ((fixed >> c) & 1)) {
             if (++c == n)
                 return -1;
             bit = (int)((high >> c) & 1);
@@ -160,57 +153,15 @@ planar_search(const int *ends, int n, unsigned long long lo,
 }
 
 PyDoc_STRVAR(find_planar_rotation_doc,
-"find_planar_rotation(endpoints_flat, n, start=0, stop=None)\n--\n\n"
-"Least handedness mask in [start, stop) with face count n + 2, else -1.\n"
-"Raises ValueError unless 0 <= start and stop <= 2**n.");
-
-/* Read [start, stop) into *lo, *hi; stop is None for 2**n.  Returns 1 for
- * a non-empty range, 0 for an empty one, and -1 with an exception set;
- * ValueError unless 0 <= start and stop <= 2**n.  The bounds are compared
- * as Python ints, so no value outside [0, 2**n] is ever converted. */
-static int
-mask_range(PyObject *start, PyObject *stop, Py_ssize_t n,
-           unsigned long long *lo, unsigned long long *hi)
-{
-    PyObject *zero = PyLong_FromLong(0);
-    PyObject *top = PyLong_FromUnsignedLongLong(1ULL << n);
-    int result = -1, bad = -1;
-    if (zero == NULL || top == NULL)
-        goto done;
-    if (start == NULL)
-        start = zero;
-    if (stop == Py_None)
-        stop = top;
-    bad = PyObject_RichCompareBool(start, zero, Py_LT);
-    if (bad == 0)
-        bad = PyObject_RichCompareBool(stop, top, Py_GT);
-    if (bad) {
-        if (bad > 0)
-            PyErr_Format(PyExc_ValueError, "mask range outside [0, 2**%zd]", n);
-        goto done;
-    }
-    result = PyObject_RichCompareBool(start, stop, Py_LT);
-    if (result > 0) {
-        *lo = PyLong_AsUnsignedLongLong(start);
-        *hi = PyLong_AsUnsignedLongLong(stop);
-        if (PyErr_Occurred())
-            result = -1;
-    }
-done:
-    Py_XDECREF(zero);
-    Py_XDECREF(top);
-    return result;
-}
+"find_planar_rotation(endpoints_flat, n)\n--\n\n"
+"Least handedness mask with face count n + 2, else -1.");
 
 static PyObject *
-find_planar_rotation(PyObject *self, PyObject *args, PyObject *kwargs)
+find_planar_rotation(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"endpoints_flat", "n", "start", "stop", NULL};
-    PyObject *endpoints, *start_obj = NULL, *stop_obj = Py_None;
+    PyObject *endpoints;
     Py_ssize_t n;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On|OO:find_planar_rotation",
-                                     kwlist, &endpoints, &n, &start_obj,
-                                     &stop_obj))
+    if (!PyArg_ParseTuple(args, "On:find_planar_rotation", &endpoints, &n))
         return NULL;
     if (n < 0 || n > MAX_CHORDS) {
         PyErr_Format(PyExc_ValueError, "n = %zd outside [0, %d]", n, MAX_CHORDS);
@@ -238,23 +189,19 @@ find_planar_rotation(PyObject *self, PyObject *args, PyObject *kwargs)
         }
     }
 
-    unsigned long long lo, hi;
-    status = mask_range(start_obj, stop_obj, n, &lo, &hi);
-    if (status <= 0)
-        return status < 0 ? NULL : PyLong_FromLong(-1);
     if (n == 0)
         return PyLong_FromLong(-1);
 
     long long mask;
     Py_BEGIN_ALLOW_THREADS
-    mask = planar_search(ends, (int)n, lo, hi);
+    mask = planar_search(ends, (int)n);
     Py_END_ALLOW_THREADS
     return PyLong_FromLongLong(mask);
 }
 
 static PyMethodDef speedups_methods[] = {
-    {"find_planar_rotation", (PyCFunction)(void (*)(void))find_planar_rotation,
-     METH_VARARGS | METH_KEYWORDS, find_planar_rotation_doc},
+    {"find_planar_rotation", find_planar_rotation, METH_VARARGS,
+     find_planar_rotation_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -13,13 +13,12 @@ Reversing the cyclic order at a vertex turns its bit-0 order
 (in_f, in_s, out_f, out_s) into its bit-1 order (in_f, out_s, out_f, in_s).
 So flipping every bit mirrors the map: each face is reversed and the face
 count is kept, and the complement of a spherical mask is spherical too.
-Of the two, the lesser has bit n - 1 clear, so the least spherical mask
-lies below 2**(n - 1).  This module searches the masks with the top bit
-clear (delegating the search to gaussreal._kernels), which decides the
-same as searching all 2**n, and reports the least one that embeds,
-together with its faces, as a witness.  It shares no theory with
-gaussreal.realizability: the two routes are compared diagram by diagram
-in the validation sweeps.
+Of the two, the lesser has bit n - 1 clear, so the search fixes that
+bit at 0 and still decides the same as searching all 2**n masks.  This
+module delegates the search to gaussreal._kernels and reports the least
+mask that embeds, together with its faces, as a witness.  It shares no
+theory with gaussreal.realizability: the two routes are compared
+diagram by diagram in the validation sweeps.
 
 The search is depth first and prunes by genus.  A map with C components
 has genus g given by V - E + F = 2C - 2g; it is the sum of the genera of
@@ -48,7 +47,7 @@ the map: the word reads c A c B with A and B closed, and under either
 bit the two darts that run into A sit side by side around c, as do the
 two that run into B.  So the map is two blocks glued at one corner, its
 genus is the sum of theirs, and the chord's bit never changes the face
-count: it takes bit 1 only when the range cut its bit-0 subtree short.
+count: the search fixes it at 0 too.
 A loop chord, with adjacent endpoints, is the case where A or B is
 empty.  gaussreal._pure spells out how the search walks the faces.  The
 worst case is still exponential: a summand that keeps several of its own
@@ -207,9 +206,9 @@ def witness_for_mask(diagram: ChordDiagram, mask: int) -> EmbeddingWitness:
 def oracle_realizable(diagram: ChordDiagram) -> EmbeddingWitness | None:
     """Search all rotation systems; return the least spherical one, if any.
 
-    Only masks below 2**(n - 1) are searched: flipping every bit mirrors the
-    embedding and keeps its face count, so the least spherical mask has
-    bit n - 1 clear.  The empty diagram is the simple closed curve and gets
+    Flipping every bit mirrors the embedding and keeps its face count, so
+    the least spherical mask has bit n - 1 clear, and the search never
+    sets it.  The empty diagram is the simple closed curve and gets
     a trivial witness.  The witness faces are retraced in pure Python even when the
     mask search ran compiled, so a kernel fault cannot fake a witness.
     """
@@ -221,7 +220,7 @@ def oracle_realizable(diagram: ChordDiagram) -> EmbeddingWitness | None:
             % (diagram.n, MAX_ORACLE_CHORDS)
         )
     flat = _endpoints_flat(diagram)
-    mask = _kernels.find_planar_rotation(flat, diagram.n, 0, 1 << (diagram.n - 1))
+    mask = _kernels.find_planar_rotation(flat, diagram.n)
     if mask < 0:
         return None
     witness = witness_for_mask(diagram, mask)

@@ -123,29 +123,38 @@ def even_condition(diagram: ChordDiagram) -> EvenConditionReport:
     empty, so they can never violate anything themselves, and pairs
     involving them share zero partners.  Violations are listed in label
     order, chord violations before pair violations.
+
+    Bit b of row a of S = A² is the parity of the partners a and b share
+    (for b = a, of the chords a crosses), so the violations are the bits
+    of S outside A.  Row a of S is the XOR of the rows of the chords
+    crossing a, which is the XOR of the rows at the positions strictly
+    between a's endpoints, since a chord with both endpoints there cancels;
+    prefix XORs over the positions give every row of S at once.
     """
     rows = interlacement(diagram).rows
+    prefix = [0]
+    for c in diagram.position_chord:
+        prefix.append(prefix[-1] ^ rows[c])
     labels = diagram.labels
+
+    def names(bits) -> tuple[str, ...]:
+        return tuple(sorted((labels[x] for x in iter_bits(bits)), key=_label_key))
+
     chord_violations = []
-    for c, row in enumerate(rows):
-        if row.bit_count() % 2:
-            names = sorted((labels[x] for x in iter_bits(row)), key=_label_key)
+    pair_violations = []
+    for a, (p, q) in enumerate(diagram.endpoints):
+        row = rows[a]
+        odd = (prefix[q] ^ prefix[p + 1]) & ~row
+        if odd >> a & 1:
             chord_violations.append(
-                ChordParityViolation(chord=labels[c], crossings=tuple(names))
+                ChordParityViolation(chord=labels[a], crossings=names(row))
+            )
+        for b in iter_bits(odd >> a + 1 << a + 1):
+            pair = sorted((labels[a], labels[b]), key=_label_key)
+            pair_violations.append(
+                PairParityViolation(pair=tuple(pair), shared=names(row & rows[b]))
             )
     chord_violations.sort(key=lambda v: _label_key(v.chord))
-    pair_violations = []
-    for a in range(diagram.n):
-        for b in range(a + 1, diagram.n):
-            if rows[a] >> b & 1:
-                continue
-            shared = rows[a] & rows[b]
-            if shared.bit_count() % 2:
-                pair = sorted((labels[a], labels[b]), key=_label_key)
-                names = sorted((labels[x] for x in iter_bits(shared)), key=_label_key)
-                pair_violations.append(
-                    PairParityViolation(pair=tuple(pair), shared=tuple(names))
-                )
     pair_violations.sort(key=lambda v: tuple(_label_key(x) for x in v.pair))
     violations = tuple(chord_violations) + tuple(pair_violations)
     return EvenConditionReport(holds=not violations, violations=violations)

@@ -11,6 +11,9 @@ smoothing; together they are the reference for the triangle rule that
 ``_decide`` applies to every smoothing at once.  The rule holds only
 where the diagram itself passes the even condition, so the per-chord
 predicate ``_triangles_odd`` is checked there, and ``_decide`` everywhere.
+``_pairwise_violations`` lists the even condition's violations one chord
+pair at a time, as the reference for the rows of A² that
+``even_condition`` reads them from.
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ from gaussreal import (
     is_realizable,
     oracle_realizable,
 )
+from gaussreal.core import _label_key
 from gaussreal.realizability import (
+    ChordParityViolation,
     EvenConditionViolation,
+    PairParityViolation,
     RealizabilityReport,
     SmoothingViolation,
     _decide,
@@ -137,6 +143,57 @@ def _pairwise_rows(diagram, size, index_of) -> list[int]:
             if (p < r < q) != (p < s < q):
                 rows[index_of[a]] |= 1 << index_of[b]
     return rows
+
+
+def _pairwise_violations(diagram) -> tuple:
+    """The even condition's violations by definition, in label order.
+
+    A chord that crosses an odd number of chords, and then a pair that
+    does not cross and shares an odd number of partners.
+    """
+    n = diagram.n
+    rows = _pairwise_rows(diagram, n, range(n))
+    labels = diagram.labels
+
+    def names(bits):
+        return tuple(sorted((labels[x] for x in range(n) if bits >> x & 1), key=_label_key))
+
+    chords = [
+        ChordParityViolation(chord=labels[a], crossings=names(rows[a]))
+        for a in range(n)
+        if rows[a].bit_count() % 2
+    ]
+    pairs = [
+        PairParityViolation(
+            pair=tuple(sorted((labels[a], labels[b]), key=_label_key)),
+            shared=names(rows[a] & rows[b]),
+        )
+        for a in range(n)
+        for b in range(a + 1, n)
+        if not rows[a] >> b & 1 and (rows[a] & rows[b]).bit_count() % 2
+    ]
+    chords.sort(key=lambda v: _label_key(v.chord))
+    pairs.sort(key=lambda v: tuple(_label_key(x) for x in v.pair))
+    return tuple(chords + pairs)
+
+
+def test_even_condition_lists_the_violations_of_the_pairwise_definition(
+    canonical_by_n, monkeypatch
+):
+    # Canonical chords are numbered in label order; a mutant's first
+    # occurrences, read forwards or backwards, mostly are not.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from polygons import mutate, polygon_words
+
+    diagrams = [d for n in range(MAX_CHORDS + 1) for d in canonical_by_n(n)]
+    rng = random.Random(13)
+    for words in polygon_words(rng, range(10, 41), 2).values():
+        for word in words:
+            tokens = mutate(rng, word)
+            diagrams.append(diagram_from_word(" ".join(tokens)))
+            diagrams.append(diagram_from_word(" ".join(reversed(tokens))))
+    for d in diagrams:
+        assert even_condition(d).violations == _pairwise_violations(d), d.word.text()
 
 
 @pytest.fixture(scope="module")

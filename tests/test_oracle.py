@@ -4,7 +4,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from gaussreal import _pure
 from gaussreal import (
     EmptyDiagram,
     GaussWord,
@@ -18,7 +17,7 @@ from gaussreal import (
     symmetry_variants,
     trace_faces,
 )
-from gaussreal.oracle import _endpoints_flat, witness_for_mask
+from gaussreal.oracle import witness_for_mask
 
 
 def _all_rotations(n):
@@ -87,7 +86,11 @@ def test_flipping_every_bit_keeps_the_face_count(n, canonical_by_n):
 
 
 def _unhalved_least_mask(diagram):
-    return _pure.find_planar_rotation(_endpoints_flat(diagram), diagram.n)
+    """The least of all 2**n masks whose traced faces give Euler 2."""
+    m = build_map(diagram)
+    rotations = _all_rotations(diagram.n)
+    spherical = (r for r in rotations if len(trace_faces(m, r)) == diagram.n + 2)
+    return next((r.mask for r in spherical), -1)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
