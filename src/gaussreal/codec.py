@@ -11,15 +11,19 @@ Wire formats:
   with '#' are ignored.
 
 - *Structured reports*: JSON documents with a top-level "schema_version"
-  and "kind".  Serialisation is deterministic (sorted keys, fixed
-  separators, trailing newline) so equal inputs produce byte-identical
-  output; volatile data such as wall-clock time never enters the
-  structured form.
+  and "kind".  Serialisation is deterministic so equal inputs produce
+  byte-identical output: keys sorted, two-space indent, one item per line
+  ending in ",", ": " after each key, "[]" and "{}" for empty containers,
+  ASCII-only strings and a trailing newline.  These are exactly the bytes
+  of ``json.dumps(document, sort_keys=True, indent=2) + "\n"``, written
+  by a small writer of our own, since ``indent`` sends ``json`` to its
+  pure-Python encoder.  Volatile data such as wall-clock time never
+  enters the structured form.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import GaussWord, MalformedWord
 
@@ -76,8 +80,51 @@ def emit_batch(words) -> str:
 
 
 def document_to_json(document: dict) -> str:
-    """Deterministic JSON serialisation for structured reports."""
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON serialisation for structured reports.
+
+    Equal to ``json.dumps(document, sort_keys=True, indent=2) + "\n"``.
+    Takes str, int, bool, None, list, tuple and dict with str keys, and
+    raises TypeError on anything else; documents hold no floats.
+    """
+    return _json(document, "\n") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as indented JSON; ``indent`` is a newline and its indent."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            items.append(_quote(key) + ": " + _json(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(_quote, value)
+        elif kinds == {int}:  # bools are not ints here: type(True) is bool
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(
+        "Object of type %s is not JSON serializable" % type(value).__name__
+    )
 
 
 def new_document(kind: str) -> dict:

@@ -280,7 +280,7 @@ def _sweep_item(
     rows = interlacement(diagram).rows
     if require_non_isolated and not all(rows):
         return None
-    realizable = _decide(rows) is None
+    realizable = _decide(diagram, rows) is None
     witness = oracle_realizable(diagram)
     if realizable == (witness is not None):
         return diagram.n, realizable, None

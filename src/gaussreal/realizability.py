@@ -127,35 +127,36 @@ def even_condition(diagram: ChordDiagram) -> EvenConditionReport:
     Bit b of row a of S = A² is the parity of the partners a and b share
     (for b = a, of the chords a crosses), so the violations are the bits
     of S outside A.  Row a of S is the XOR of the rows of the chords
-    crossing a, which is the XOR of the rows at the positions strictly
-    between a's endpoints, since a chord with both endpoints there cancels;
-    prefix XORs over the positions give every row of S at once.
+    crossing a, which ``_square_rows`` gives for every a at once.  The
+    chords are sorted by label once, into ``order``; violations and the
+    names in them are read off in that order, each pair from its chord
+    that comes first, so everything comes out in label order unsorted.
     """
     rows = interlacement(diagram).rows
-    prefix = [0]
-    for c in diagram.position_chord:
-        prefix.append(prefix[-1] ^ rows[c])
     labels = diagram.labels
+    order = sorted(range(diagram.n), key=lambda c: _label_key(labels[c]))
 
     def names(bits) -> tuple[str, ...]:
-        return tuple(sorted((labels[x] for x in iter_bits(bits)), key=_label_key))
+        return tuple([labels[c] for c in order if bits >> c & 1])
 
     chord_violations = []
     pair_violations = []
-    for a, (p, q) in enumerate(diagram.endpoints):
+    squares = _square_rows(diagram, rows)
+    for i, a in enumerate(order):
         row = rows[a]
-        odd = (prefix[q] ^ prefix[p + 1]) & ~row
+        odd = squares[a] & ~row
         if odd >> a & 1:
             chord_violations.append(
                 ChordParityViolation(chord=labels[a], crossings=names(row))
             )
-        for b in iter_bits(odd >> a + 1 << a + 1):
-            pair = sorted((labels[a], labels[b]), key=_label_key)
-            pair_violations.append(
-                PairParityViolation(pair=tuple(pair), shared=names(row & rows[b]))
-            )
-    chord_violations.sort(key=lambda v: _label_key(v.chord))
-    pair_violations.sort(key=lambda v: tuple(_label_key(x) for x in v.pair))
+        if odd:
+            for b in order[i + 1 :]:
+                if odd >> b & 1:
+                    pair_violations.append(
+                        PairParityViolation(
+                            pair=(labels[a], labels[b]), shared=names(row & rows[b])
+                        )
+                    )
     violations = tuple(chord_violations) + tuple(pair_violations)
     return EvenConditionReport(holds=not violations, violations=violations)
 
@@ -240,27 +241,42 @@ class RealizabilityReport:
         }
 
 
-def _decide(rows) -> int | None:
-    """The first check that fails on crossing ``rows``, or None if all hold.
+def _square_rows(diagram: ChordDiagram, rows) -> list[int]:
+    """The rows of S = A² for the diagram's crossing ``rows``.
 
-    -1 names the even condition on the diagram itself, and c >= 0 the
-    smoothing of chord c.  One pass builds S = A², row by row, and stops
-    at the first row with a bit outside A; it keeps, per chord, the
-    partners with which it shares an even number of chords.  Then each
-    smoothing is checked by the triangle rule of the module docstring.
+    Row a of S is the XOR of the rows of the chords crossing a, which is
+    the XOR of the rows at the positions strictly between a's endpoints,
+    since a chord with both endpoints there cancels.  ``prefix[i]`` is the
+    XOR over the positions before i, so every row takes one XOR of two
+    prefixes, 3n XORs in all.
+    """
+    prefix = [0]
+    for c in diagram.position_chord:
+        prefix.append(prefix[-1] ^ rows[c])
+    return [prefix[q] ^ prefix[p + 1] for p, q in diagram.endpoints]
+
+
+def _decide(diagram: ChordDiagram, rows) -> int | None:
+    """The first check that fails on the diagram, or None if all hold.
+
+    ``rows`` are the diagram's crossing rows.  -1 names the even condition
+    on the diagram itself, and c >= 0 the smoothing of chord c.  A bit of
+    S = A² outside A fails the even condition: first the diagonal, a chord
+    crossing an odd number of chords, which most failing diagrams show at
+    once, then the rows of S from ``_square_rows``, as in
+    ``even_condition``.  Otherwise each chord keeps the partners with
+    which it shares an even number of chords, and each smoothing is
+    checked by the triangle rule of the module docstring.
     A failing triangle fails the smoothing of each of its chords, so the
     first failing chord is the least chord of a failing triangle, and
     chord c need only look at triangles whose other chords lie above c.
     Kinks are empty rows and close no triangle, so they always pass.
     """
-    evens = []
     for row in rows:
-        square = 0
-        rest = row
-        while rest:
-            low = rest & -rest
-            square ^= rows[low.bit_length() - 1]
-            rest ^= low
+        if row.bit_count() & 1:  # S[a][a] = 1 lies outside A
+            return -1
+    evens = []
+    for row, square in zip(rows, _square_rows(diagram, rows)):
         if square & ~row:
             return -1
         evens.append(row & ~square)
@@ -325,7 +341,7 @@ def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     ``even_condition`` and the word rule on the kink-free diagram.
     """
     rows = interlacement(diagram).rows
-    failed = _decide(rows)
+    failed = _decide(diagram, rows)
     reduced = _drop_kinks(diagram, rows)
     witness: EvenConditionViolation | SmoothingViolation | None = None
     if failed == -1:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussreal import GaussWord, MalformedWord, ParseError, parse_gauss_code
 from gaussreal.codec import (
@@ -76,3 +78,34 @@ def test_new_document_carries_schema_version():
 def test_parse_accepts_gauss_word_text_of_any_labels():
     w = GaussWord.from_tokens(["x1", "y", "x1", "y"])
     assert parse_gauss_code(w.text()) == w
+
+
+# Short strings, plus quotes, backslashes, control and non-ASCII characters.
+_text = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "é", "\U0001f600"]
+)
+_scalars = st.none() | st.booleans() | st.integers(-(2**200), 2**200) | _text
+_documents = st.recursive(
+    _scalars
+    | st.lists(st.integers(-(2**70), 2**70) | st.booleans(), max_size=5)
+    | st.lists(_text, max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=st.dictionaries(_text, _documents, max_size=4))
+def test_document_json_equals_indented_sorted_json_dumps(document):
+    expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    assert document_to_json(document) == expected
+
+
+@pytest.mark.parametrize(
+    "document", [{"a": 1.5}, {"a": [1, 2.0]}, {1: "a"}, {"a": {2: 3}}, {"a": {1, 2}}]
+)
+def test_document_json_refuses_floats_non_str_keys_and_other_types(document):
+    with pytest.raises(TypeError):
+        document_to_json(document)

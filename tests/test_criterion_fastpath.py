@@ -11,6 +11,9 @@ smoothing; together they are the reference for the triangle rule that
 ``_decide`` applies to every smoothing at once.  The rule holds only
 where the diagram itself passes the even condition, so the per-chord
 predicate ``_triangles_odd`` is checked there, and ``_decide`` everywhere.
+``_squares`` builds A² one chord pair at a time, as the reference for
+the prefix XOR of ``_square_rows`` that builds it for ``_decide`` and
+``even_condition``.
 ``_pairwise_violations`` lists the even condition's violations one chord
 pair at a time, as the reference for the rows of A² that
 ``even_condition`` reads them from.
@@ -41,6 +44,7 @@ from gaussreal.realizability import (
     RealizabilityReport,
     SmoothingViolation,
     _decide,
+    _square_rows,
     _triangles_odd,
     remove_isolated,
 )
@@ -56,6 +60,11 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SMOOTHING_FAILURES_8 = (
     Path(__file__).resolve().parent / "data" / "smoothing_failures_8.txt"
 )
+# Multi-digit numerals, letters of both cases, and numerals that
+# _label_key reads as the same int (7, 07, +7, 007).
+MIXED_LABELS = ["7", "07", "+7", "007", "10", "010", "9", "100", "11", "a", "A"]
+MIXED_LABELS += ["b", "B", "z", "Z", "x1", "X1", "x10", "x2"]
+MIXED_LABELS += [str(c) for c in range(20, 40)] + list("cdefghijk")
 
 
 def _even(rows) -> bool:
@@ -85,11 +94,13 @@ def _squares(rows) -> list[int]:
     ]
 
 
-def _assert_triangle_rule_matches_the_toggle(rows, context) -> None:
+def _assert_triangle_rule_matches_the_toggle(diagram) -> None:
     """Every smoothing, kinks included, where the base check holds.
 
     ``_decide`` is checked on every input, whether or not the base holds.
     """
+    rows = interlacement(diagram).rows
+    context = diagram.word.text()
     smoothings = [_even(toggle_rows(rows, c)) for c in range(len(rows))]
     base = _even(rows)
     if base:
@@ -98,7 +109,7 @@ def _assert_triangle_rule_matches_the_toggle(rows, context) -> None:
             assert _triangles_odd(rows, evens, c, rows[c]) == expected, (context, c)
     failed = (c for c, even in enumerate(smoothings) if rows[c] and not even)
     expected = next(failed, None) if base else -1
-    assert _decide(rows) == expected, context
+    assert _decide(diagram, rows) == expected, context
 
 
 def _word_rule_reference(diagram) -> RealizabilityReport:
@@ -181,7 +192,9 @@ def test_even_condition_lists_the_violations_of_the_pairwise_definition(
     canonical_by_n, monkeypatch
 ):
     # Canonical chords are numbered in label order; a mutant's first
-    # occurrences, read forwards or backwards, mostly are not.
+    # occurrences, read forwards or backwards, mostly are not.  Each mutant
+    # is also relabelled with labels of mixed kinds, some of which
+    # _label_key reads as the same int.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from polygons import mutate, polygon_words
 
@@ -190,8 +203,10 @@ def test_even_condition_lists_the_violations_of_the_pairwise_definition(
     for words in polygon_words(rng, range(10, 41), 2).values():
         for word in words:
             tokens = mutate(rng, word)
-            diagrams.append(diagram_from_word(" ".join(tokens)))
-            diagrams.append(diagram_from_word(" ".join(reversed(tokens))))
+            names = rng.sample(MIXED_LABELS, len(tokens) // 2)
+            for labelled in (tokens, [names[int(t) - 1] for t in tokens]):
+                diagrams.append(diagram_from_word(" ".join(labelled)))
+                diagrams.append(diagram_from_word(" ".join(reversed(labelled))))
     for d in diagrams:
         assert even_condition(d).violations == _pairwise_violations(d), d.word.text()
 
@@ -254,6 +269,18 @@ def test_interlacement_rows_match_the_pairwise_definition(tokens):
     assert list(interlacement(d).rows) == _pairwise_rows(d, d.n, range(d.n))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    tokens=st.integers(0, 80).flatmap(
+        lambda n: st.permutations([str(c) for c in range(n)] * 2)
+    )
+)
+def test_prefix_xor_squares_match_the_pairwise_squares(tokens):
+    d = diagram_from_word(" ".join(tokens))
+    rows = interlacement(d).rows
+    assert _square_rows(d, rows) == _squares(rows)
+
+
 def test_bitset_even_condition_matches_the_labelled_one(canonical_by_n):
     for n in range(1, MAX_CHORDS):
         for d in canonical_by_n(n):
@@ -278,9 +305,7 @@ def test_triangle_rule_matches_the_toggle_on_every_canonical_diagram(
 ):
     for n in range(MAX_CHORDS + 1):
         for d in canonical_by_n(n):
-            _assert_triangle_rule_matches_the_toggle(
-                interlacement(d).rows, d.word.text()
-            )
+            _assert_triangle_rule_matches_the_toggle(d)
 
 
 def test_every_smoothing_failure_with_eight_chords():
@@ -290,8 +315,8 @@ def test_every_smoothing_failure_with_eight_chords():
     for word in words:
         d = diagram_from_word(word)
         rows = interlacement(d).rows
-        assert _decide(rows) not in (None, -1), word
-        _assert_triangle_rule_matches_the_toggle(rows, word)
+        assert _decide(d, rows) not in (None, -1), word
+        _assert_triangle_rule_matches_the_toggle(d)
         _assert_same_report(d)
         assert oracle_realizable(d) is None, word
 
@@ -303,8 +328,7 @@ def test_every_smoothing_failure_with_eight_chords():
     )
 )
 def test_triangle_rule_matches_the_toggle_on_random_words(tokens):
-    d = diagram_from_word(" ".join(tokens))
-    _assert_triangle_rule_matches_the_toggle(interlacement(d).rows, d.word.text())
+    _assert_triangle_rule_matches_the_toggle(diagram_from_word(" ".join(tokens)))
 
 
 def test_triangle_rule_matches_the_toggle_on_polygon_words(monkeypatch):
@@ -315,8 +339,8 @@ def test_triangle_rule_matches_the_toggle_on_polygon_words(monkeypatch):
     for n, words in polygon_words(random.Random(11), range(10, 61), 1).items():
         d = diagram_from_word(" ".join(words[0]))
         rows = interlacement(d).rows
-        assert _decide(rows) is None, n
-        _assert_triangle_rule_matches_the_toggle(rows, d.word.text())
+        assert _decide(d, rows) is None, n
+        _assert_triangle_rule_matches_the_toggle(d)
 
 
 def test_paper_checks_accept_a_non_plane_diagram_with_nine_chords():
@@ -326,7 +350,7 @@ def test_paper_checks_accept_a_non_plane_diagram_with_nine_chords():
     for c, label in enumerate(d.labels):
         assert _even(toggle_rows(rows, c)), label
         assert even_condition(smooth_by_word(d, label).diagram).holds, label
-    assert _decide(rows) is None
+    assert _decide(d, rows) is None
     assert is_realizable(d).realizable
     assert oracle_realizable(d) is None
     assert exists_colorful_witness(d) is None
