@@ -40,28 +40,33 @@ Dart/rotation conventions (shared with gaussreal.oracle):
   ``nxt[d] = sigma[d ^ 1]``, so ``sigma[x]`` is ``nxt[x ^ 1]``.  Chord c
   owns the four entries at its darts reversed, ``in_f ^ 1``, ``in_s ^ 1``,
   ``out_f ^ 1`` and ``out_s ^ 1``.
-- It is depth first.  Chords join in the order n - 1, ..., 0, and each
-  tries bit 0 before bit 1, so leaves come in mask order.  A node rewrites
-  only the four entries of its chord.  The chords whose bits are fixed
-  try bit 0 only: chord n - 1, since the mirror of a spherical mask is
-  spherical (see gaussreal.oracle), and every isolated chord (below).
-- Edge i joins with the lower of its two chords; edges that join with the
-  same chord go in edge order.  This order ranks the edges, and a dart
-  takes its edge's rank.  A union-find over the chords, run once per call
-  in rank order, finds the edges whose two chords already share a
-  component.  Only those can raise the genus (see gaussreal.oracle), so
-  only they get a face test.  A loop at a chord with no lower-ranked edge
-  gets none: it lies in the one corner of an isolated vertex.
-- An isolated chord c crosses no other chord: the word reads c A c B,
-  where A and B each hold both ends of their chords (a loop chord, with
-  adjacent endpoints, has A or B empty).  Its vertex is a cut vertex: the
-  edges from out_f to in_s run through A, and those from out_s to in_f
-  through B.  Around the vertex, bit 0 gives in_f, in_s, out_f, out_s and
-  bit 1 gives in_f, out_s, out_f, in_s; under both, the two darts of
-  each block sit side by side.  So the map is its two blocks glued at one
-  corner, its genus is the sum of theirs, and the bit of c never changes
-  the face count, and its bit is fixed: when its bit-0 subtree holds no
-  spherical leaf, neither does the one under bit 1.
+- It is depth first.  Chords join in the order of a maximum-cardinality
+  search over the curve: it starts at chord 0, and the next chord is the
+  one not yet joined with the most curve edges into the joined ones,
+  counted with multiplicity (four increments per joined chord), ties to
+  the least index.  The curve runs through every chord, so each chord
+  after the first has an edge to a joined one, and the joined sub-map
+  stays connected.  Each chord tries bit 0 before bit 1, and a node
+  rewrites only the four entries of its chord.
+- The edges between a chord and the chords joined before it join with
+  it: the edge into f, the edge out of f, the edge into s, the edge out
+  of s.  This order ranks the edges, and a dart takes its edge's rank.
+  The first of them to another chord attaches the chord to the sub-map
+  and keeps the genus (see gaussreal.oracle).  Each later one closes a
+  cycle and gets a face test.  A loop, an edge from a chord to itself,
+  gets none: under either bit its two darts sit side by side around the
+  vertex, so it splits the face of that corner.  It is met twice,
+  leaving f and entering s or the other way round; the later rank stands.
+- Flipping every bit of one component of the crossing graph keeps the
+  face count (see gaussreal.oracle).  So the first chord of each
+  component to join tries bit 0 only: if some spherical mask exists, one
+  exists with those bits 0.  The components come from a search over the
+  crossing rows, read off a prefix XOR over the positions.
+- The first spherical leaf is then normalised: each component whose top
+  chord (its highest index) has bit 1 is flipped.  The spherical masks
+  form one coset of the group of component flips (see gaussreal.oracle),
+  and its least member is the one with every top chord at 0, so the
+  search returns the least spherical mask of all 2**n.
 - The face test of an edge of rank r works in the sub-map of the darts
   ranked below r.  Its corner at dart t lies on the face of the first
   such dart after t around the vertex: follow ``nxt[x ^ 1]`` past darts
@@ -101,6 +106,9 @@ def canonical_key(index_word) -> tuple:
 
 def _check_contract(endpoints_flat, n) -> None:
     """Raise ValueError on input outside the contract."""
+    if 0 <= n <= MAX_CHORDS and sorted(endpoints_flat) == list(range(2 * n)):
+        return
+    # Only the wording of the error is left to find.
     if not 0 <= n <= MAX_CHORDS:
         raise ValueError("n = %d outside [0, %d]" % (n, MAX_CHORDS))
     if len(endpoints_flat) != 2 * n:
@@ -108,15 +116,15 @@ def _check_contract(endpoints_flat, n) -> None:
     for v in endpoints_flat:
         if not 0 <= v < 2 * n:
             raise ValueError("endpoint %d outside [0, %d)" % (v, 2 * n))
-    if len(set(endpoints_flat)) != 2 * n:
-        raise ValueError("endpoints repeat a circle position")
+    raise ValueError("endpoints repeat a circle position")
 
 
 def find_planar_rotation(endpoints_flat, n) -> int:
     """Least handedness mask with a spherical embedding, or -1 if none.
 
     The mask has face count n + 2; the search is the one in the
-    conventions above, so it never returns a mask with bit n - 1 set.
+    conventions above, so every component of the crossing graph has its
+    top chord at bit 0.
     """
     _check_contract(endpoints_flat, n)
     if n == 0:
@@ -125,64 +133,82 @@ def find_planar_rotation(endpoints_flat, n) -> int:
     chord_at = [0] * m
     for k, p in enumerate(endpoints_flat):
         chord_at[p] = k >> 1
-    # Edge i joins with the lower of its chords; ties go in edge order.
-    joins = [[] for _ in range(n)]
-    for i, u in enumerate(chord_at):
-        v = chord_at[i + 1 - m]
-        joins[u if u < v else v].append(i)
-    # prefix[p] is the XOR of 1 << chord over the positions before p.
+    # prefix[p] is the XOR of 1 << chord over the positions before p, so
+    # crossing[c] holds c and the chords that cross it.
     prefix = list(accumulate(map((1).__lshift__, chord_at), xor, initial=0))
-    rank = [0] * (4 * n)
-    parent = list(range(n))
-    tests = [[] for _ in range(n)]
-    r = 0
-    for c in range(n - 1, -1, -1):
-        # Chord c joins alone; each edge to a higher chord either reaches
-        # a component it has not yet reached or closes a cycle.
-        reached = []
-        first = r
-        for i in joins[c]:
-            rank[2 * i] = rank[2 * i + 1] = r
-            v = chord_at[i] + chord_at[i + 1 - m] - c  # the edge's other chord
-            if v == c:
-                closes = r > first
-            else:
-                while parent[v] != v:
-                    parent[v] = v = parent[parent[v]]
-                closes = v in reached
-                if not closes:
-                    reached.append(v)
-            if closes:
-                tests[c].append((2 * i, r))
-            r += 1
-        for v in reached:
-            parent[v] = c
-    # Per chord: its four darts reversed, and the successors they take
-    # under bit 0 and under bit 1 (see the conventions above).  Fixed
-    # chords try bit 0 only: an isolated chord's bit never changes the face
-    # count, and the top chord's is the mirror choice.
+    ends = iter(endpoints_flat)
+    crossing = [prefix[f] ^ prefix[s] for f, s in zip(ends, ends)]
+    # Chords join in maximum-cardinality order.  weight[c] counts the curve
+    # edges from c into the joined chords; a joined chord gets -5, which
+    # its four edge ends cannot lift to 0.  By join depth: the chord's
+    # darts reversed with the successors they take under bit 0 and under
+    # bit 1, and its face tests (see the conventions above).
+    order = []
+    weight = [0] * n
+    rank = [0] * (2 * m)
     entries = []
-    fixed = 1 << (n - 1)
-    for c in range(n):
+    tests = []
+    components = []
+    fixed = seen = r = c = 0
+    for k in range(n):
+        order.append(c)
+        weight[c] = -5
         f = endpoints_flat[2 * c]
         s = endpoints_flat[2 * c + 1]
-        in_f, out_f = 2 * ((f - 1) % m) + 1, 2 * f
-        in_s, out_s = 2 * ((s - 1) % m) + 1, 2 * s
+        fp = f - 1 if f else m - 1
+        sp = s - 1 if s else m - 1
+        in_f, out_f = 2 * fp + 1, 2 * f
+        in_s, out_s = 2 * sp + 1, 2 * s
         entries.append(
             (
                 (in_f ^ 1, in_s ^ 1, out_f ^ 1, out_s ^ 1),
                 ((in_s, out_f, out_s, in_f), (out_s, in_f, in_s, out_f)),
             )
         )
-        if prefix[f] ^ prefix[s] == 1 << c:  # no chord has one end between
-            fixed |= 1 << c
-    nxt = [0] * (4 * n)
+        # The edges to joined chords: the first to another chord attaches
+        # c, each later one gets a face test, and a loop gets none.
+        a, b = chord_at[fp], chord_at[f + 1 - m]
+        x, y = chord_at[sp], chord_at[s + 1 - m]
+        attached = False
+        closing = []
+        for i, v in (fp, a), (f, b), (sp, x), (s, y):
+            if weight[v] >= 0:
+                continue  # v joins later, and so does the edge
+            rank[2 * i] = rank[2 * i + 1] = r
+            if v != c:
+                if attached:
+                    closing.append((2 * i, r))
+                attached = True
+            r += 1
+        tests.append(closing)
+        weight[a] += 1
+        weight[b] += 1
+        weight[x] += 1
+        weight[y] += 1
+        # The first chord of a crossing-graph component to join tries bit 0
+        # only.
+        if not seen >> c & 1:
+            fixed |= 1 << k
+            component = todo = 1 << c
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = crossing[low.bit_length() - 1] & ~component
+                component |= new
+                todo |= new
+            seen |= component
+            components.append(component)
+        c = weight.index(max(weight))
 
-    def spherical_after(c, bit):
-        """Join chord c with this bit; False if a joining edge adds genus."""
-        (p, q, u, v), succ = entries[c]
+    # Depth first: the chord at depth k is next to join with this bit, and
+    # `mask` holds the bits of the chords joined before it.
+    nxt = [0] * (2 * m)
+    last = n - 1
+    k = bit = mask = 0
+    while True:
+        (p, q, u, v), succ = entries[k]
         nxt[p], nxt[q], nxt[u], nxt[v] = succ[bit]
-        for t, r in tests[c]:
+        for t, r in tests[k]:
             # a and b follow t and t ^ 1 around their vertices in the
             # sub-map of the darts ranked below r; their faces pass
             # through the two corners that the edge splits.
@@ -198,23 +224,27 @@ def find_planar_rotation(endpoints_flat, n) -> int:
                 while rank[d] >= r:
                     d = nxt[d ^ 1]
                 if d == a:
-                    return False
-        return True
-
-    # Depth first: chord c is next to join, with bits `high` above it.
-    c, bit, high = n - 1, 0, 0
-    while True:
-        if spherical_after(c, bit):
-            high |= bit << c
-            if c == 0:
-                return high
-            c, bit = c - 1, 0
-            continue
-        # Bit 1 is next unless it was tried or c is fixed.
-        while bit or fixed >> c & 1:
-            c += 1
-            if c == n:
+                    break
+            else:
+                continue
+            break  # the edge joins two faces: the genus rises
+        else:
+            mask |= bit << order[k]
+            if k < last:
+                k, bit = k + 1, 0
+                continue
+            # A spherical leaf.  Flip each component whose top chord has
+            # bit 1: the least mask of the coset (see gaussreal.oracle).
+            for component in components:
+                if mask >> (component.bit_length() - 1) & 1:
+                    mask ^= component
+            return mask
+        # Bit 1 is next unless it was tried or the depth is fixed.
+        while bit or fixed >> k & 1:
+            k -= 1
+            if k < 0:
                 return -1
-            bit = high >> c & 1
-            high ^= bit << c
+            c = order[k]
+            bit = mask >> c & 1
+            mask ^= bit << c
         bit = 1

@@ -3,8 +3,12 @@
  *
  * find_planar_rotation is the depth-first, genus-pruned search for the
  * least spherical handedness mask (the argument is in gaussreal.oracle),
- * the same search as the pure one, node for node: the top chord and
- * every isolated chord try bit 0 only.
+ * the same search as the pure one, node for node.  Chords join in
+ * maximum-cardinality order, so the joined sub-map stays connected and
+ * the first edge that joins a chord to another attaches it without a
+ * face test.  The first chord of each crossing-graph component to join
+ * tries bit 0 only, and the first spherical leaf is normalised to the
+ * least mask by flipping each component whose top chord has bit 1.
  *
  * Inputs are small Python sequences of ints.  Each is range-checked and
  * copied once into a C array, so no index read from Python can reach past
@@ -65,18 +69,19 @@ planar_search(const int *ends, int n)
 {
     int m = 2 * n;
     int chord_at[2 * MAX_CHORDS], rank[4 * MAX_CHORDS], nxt[4 * MAX_CHORDS];
+    int order[MAX_CHORDS], weight[MAX_CHORDS];
+    /* By join depth k: the chord's darts reversed at 4k .. 4k + 3, the
+     * successors they take under bit 0 and under bit 1, and its face
+     * tests, as edge dart and rank, from from[k] to to[k] - 1. */
     int slot[4 * MAX_CHORDS], succ[2][4 * MAX_CHORDS];
-    int parent[MAX_CHORDS], degree[MAX_CHORDS];
-    /* Face tests in join order, as edge dart and rank; chord c owns the
-     * entries from[c] .. to[c] - 1. */
     int test_dart[2 * MAX_CHORDS], test_rank[2 * MAX_CHORDS];
     int from[MAX_CHORDS], to[MAX_CHORDS];
-
-    /* prefix[p] is the XOR of 1 << chord over the positions before p.
-     * The chords in fixed try bit 0 only: the top chord, whose bit is the
-     * mirror choice, and each chord that crosses no other, whose bit never
-     * changes the face count (see gaussreal._pure). */
-    unsigned long long prefix[2 * MAX_CHORDS + 1], fixed = 1ULL << (n - 1);
+    /* prefix[p] is the XOR of 1 << chord over the positions before p, so
+     * crossing[c] holds c and the chords that cross it.  The crossing-graph
+     * components are chord masks; the depths in fixed try bit 0 only. */
+    unsigned long long prefix[2 * MAX_CHORDS + 1], crossing[MAX_CHORDS];
+    unsigned long long component[MAX_CHORDS], fixed = 0, seen = 0;
+    int components = 0;
 
     for (int k = 0; k < m; k++)
         chord_at[ends[k]] = k / 2;
@@ -84,69 +89,95 @@ planar_search(const int *ends, int n)
     for (int i = 0; i < m; i++)
         prefix[i + 1] = prefix[i] ^ (1ULL << chord_at[i]);
     for (int c = 0; c < n; c++) {
+        crossing[c] = prefix[ends[2 * c]] ^ prefix[ends[2 * c + 1]];
+        weight[c] = 0;
+    }
+    /* Chords join by maximum-cardinality search from chord 0; a joined
+     * chord's weight is -5, and stays negative. */
+    int r = 0, tests = 0, c = 0;
+    for (int k = 0; k < n; k++) {
+        order[k] = c;
+        weight[c] = -5;
         int f = ends[2 * c], s = ends[2 * c + 1];
-        if ((prefix[f] ^ prefix[s]) == 1ULL << c)
-            fixed |= 1ULL << c;
-        int in_f = 2 * ((f + m - 1) % m) + 1, out_f = 2 * f;
-        int in_s = 2 * ((s + m - 1) % m) + 1, out_s = 2 * s;
-        int *p = slot + 4 * c, *s0 = succ[0] + 4 * c, *s1 = succ[1] + 4 * c;
+        int fp = f ? f - 1 : m - 1, sp = s ? s - 1 : m - 1;
+        int in_f = 2 * fp + 1, out_f = 2 * f, in_s = 2 * sp + 1, out_s = 2 * s;
+        int *p = slot + 4 * k, *s0 = succ[0] + 4 * k, *s1 = succ[1] + 4 * k;
         p[0] = in_f ^ 1; p[1] = in_s ^ 1; p[2] = out_f ^ 1; p[3] = out_s ^ 1;
         s0[0] = in_s; s0[1] = out_f; s0[2] = out_s; s0[3] = in_f;
         s1[0] = out_s; s1[1] = in_f; s1[2] = in_s; s1[3] = out_f;
-        parent[c] = c;
-        degree[c] = 0;
+        /* The edges between c and joined chords: the first to another
+         * chord attaches c, each later one gets a face test, and a loop
+         * gets none (see gaussreal._pure). */
+        int edge[4] = {fp, f, sp, s};
+        int other[4] = {chord_at[fp], chord_at[(f + 1) % m], chord_at[sp],
+                        chord_at[(s + 1) % m]};
+        int attached = 0;
+        from[k] = tests;
+        for (int j = 0; j < 4; j++) {
+            int i = edge[j], v = other[j];
+            if (weight[v] >= 0)
+                continue;
+            rank[2 * i] = rank[2 * i + 1] = r;
+            if (v != c) {
+                if (attached) {
+                    test_dart[tests] = 2 * i;
+                    test_rank[tests++] = r;
+                }
+                attached = 1;
+            }
+            r++;
+        }
+        to[k] = tests;
+        for (int j = 0; j < 4; j++)
+            weight[other[j]]++;
+        if (!((seen >> c) & 1)) {
+            unsigned long long comp = 1ULL << c, todo = comp;
+            while (todo) {
+                unsigned long long found = crossing[__builtin_ctzll(todo)] & ~comp;
+                todo &= todo - 1;
+                comp |= found;
+                todo |= found;
+            }
+            fixed |= 1ULL << k;
+            seen |= comp;
+            component[components++] = comp;
+        }
+        c = 0;
+        for (int v = 1; v < n; v++)
+            if (weight[v] > weight[c])
+                c = v;
     }
     for (int d = 0; d < 4 * n; d++)
         nxt[d] = 0;
-    /* Edge i joins with the lower of its chords; ties go in edge order. */
-    int r = 0, tests = 0;
-    for (int c = n - 1; c >= 0; c--) {
-        from[c] = tests;
-        for (int i = 0; i < m; i++) {
-            int u = chord_at[i], v = chord_at[(i + 1) % m];
-            if ((u < v ? u : v) != c)
-                continue;
-            rank[2 * i] = rank[2 * i + 1] = r;
-            int ru = u, rv = v;
-            while (parent[ru] != ru)
-                ru = parent[ru] = parent[parent[ru]];
-            while (parent[rv] != rv)
-                rv = parent[rv] = parent[parent[rv]];
-            if (ru != rv) {
-                parent[ru] = rv;
-            } else if (u != v || degree[u]) {
-                test_dart[tests] = 2 * i;
-                test_rank[tests++] = r;
-            }
-            degree[u]++;
-            degree[v]++;
-            r++;
-        }
-        to[c] = tests;
-    }
 
-    int c = n - 1, bit = 0;
-    unsigned long long high = 0;
+    int k = 0, bit = 0;
+    unsigned long long mask = 0;
     for (;;) {
-        const int *p = slot + 4 * c, *v = succ[bit] + 4 * c;
+        const int *p = slot + 4 * k, *v = succ[bit] + 4 * k;
         nxt[p[0]] = v[0]; nxt[p[1]] = v[1]; nxt[p[2]] = v[2]; nxt[p[3]] = v[3];
         int ok = 1;
-        for (int k = from[c]; ok && k < to[c]; k++)
-            ok = same_face(nxt, rank, test_dart[k], test_rank[k]);
+        for (int j = from[k]; ok && j < to[k]; j++)
+            ok = same_face(nxt, rank, test_dart[j], test_rank[j]);
         if (ok) {
-            high |= (unsigned long long)bit << c;
-            if (c == 0)
-                return (long long)high;
-            c--;
-            bit = 0;
-            continue;
+            mask |= (unsigned long long)bit << order[k];
+            if (k < n - 1) {
+                k++;
+                bit = 0;
+                continue;
+            }
+            /* A spherical leaf: flip each component whose top chord has
+             * bit 1. */
+            for (int j = 0; j < components; j++)
+                if ((mask >> (63 - __builtin_clzll(component[j]))) & 1)
+                    mask ^= component[j];
+            return (long long)mask;
         }
-        /* Bit 1 is next unless it was tried or c is fixed. */
-        while (bit || ((fixed >> c) & 1)) {
-            if (++c == n)
+        /* Bit 1 is next unless it was tried or the depth is fixed. */
+        while (bit || ((fixed >> k) & 1)) {
+            if (--k < 0)
                 return -1;
-            bit = (int)((high >> c) & 1);
-            high &= ~(1ULL << c);
+            bit = (int)((mask >> order[k]) & 1);
+            mask &= ~(1ULL << order[k]);
         }
         bit = 1;
     }

@@ -307,7 +307,12 @@ def main(argv=None) -> int:
         ValueError,
         OSError,
     ) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # An OSError's first argument is its errno, and str() of a KeyError
+        # such as UnknownChord quotes its text.
+        if isinstance(exc, OSError) or not exc.args:
+            message = str(exc)
+        else:
+            message = exc.args[0]
         print("error: %s" % message, file=sys.stderr)
         return 2
 

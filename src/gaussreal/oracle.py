@@ -9,16 +9,36 @@ realizable in the plane iff some assignment of the n handedness bits makes
 the combinatorial map spherical, i.e. gives Euler characteristic
 V - E + F = n - 2n + F = 2.
 
-Reversing the cyclic order at a vertex turns its bit-0 order
-(in_f, in_s, out_f, out_s) into its bit-1 order (in_f, out_s, out_f, in_s).
-So flipping every bit mirrors the map: each face is reversed and the face
-count is kept, and the complement of a spherical mask is spherical too.
-Of the two, the lesser has bit n - 1 clear, so the search fixes that
-bit at 0 and still decides the same as searching all 2**n masks.  This
-module delegates the search to gaussreal._kernels and reports the least
-mask that embeds, together with its faces, as a witness.  It shares no
-theory with gaussreal.realizability: the two routes are compared
-diagram by diagram in the validation sweeps.
+This module delegates the search to gaussreal._kernels and reports the
+least mask that embeds, together with its faces, as a witness.  It
+shares no code with gaussreal.realizability, and its verdicts rest on
+Euler's formula and the flip and genus arguments below alone: the two
+routes are compared diagram by diagram in the validation sweeps.
+
+Flipping every bit of one connected component K of the crossing graph
+keeps the face count.  A sketch of why: reversing the cyclic order at a
+vertex turns its bit-0 order (in_f, in_s, out_f, out_s) into its bit-1
+order (in_f, out_s, out_f, in_s), so flipping K mirrors the map of K:
+each of its faces is reversed.  A chord outside K crosses no chord of K,
+and K is connected, so both its ends lie in one gap between consecutive
+ends of K.  So the rest of the curve hangs on K's map as one sub-curve
+per gap, each joined to K by two edges at the corners that bound its
+gap.  Mirroring K keeps the face each corner lies on, and adding two
+edges between corners on the same faces gives the same face count.  The
+tests check the fact on every mask for n <= 6.  The whole mask's mirror
+is the flip of every component at once; an isolated chord, a cut vertex
+of the map, is a component of one chord.
+
+The spherical masks form exactly one coset of the group of component
+flips; only the choice of the least mask rests on this.  A plane curve
+determines the cocycle solution h of de Fraysseix & Ossona de Mendez
+("On a characterization of Gauss codes", Discrete Comput. Geom. 22,
+1999), which is unique up to complement on each component of the
+crossing graph; every realizable canonical diagram with n <= 9 has
+exactly 2**(components) spherical masks.  A component's flip is the only
+one that moves the bit of its top chord, its highest index, and that bit
+is the highest the flip moves.  So the least member of the coset is the
+one with every top chord at bit 0.
 
 The search is depth first and prunes by genus.  A map with C components
 has genus g given by V - E + F = 2C - 2g; it is the sum of the genera of
@@ -36,26 +56,30 @@ pruned.  The sub-map grows one edge at a time:
 - an edge within one component whose corners lie on two faces joins them
   (E + 1, F - 1): the genus rises by one, and the search prunes there.
 
-Which components an edge connects depends only on the order in which the
-chords join, so it is computed once per call.  A leaf that was never
-pruned is a map of genus 0.  The full map is connected, since the curve
-runs through every edge, so that leaf is a sphere with F = n + 2.  Chords
-join in the order n - 1, ..., 0, each with bit 0 first, so leaves come
-in mask order and the first one reached is the least spherical mask.
-An isolated chord, one that crosses no other chord, is a cut vertex of
-the map: the word reads c A c B with A and B closed, and under either
-bit the two darts that run into A sit side by side around c, as do the
-two that run into B.  So the map is two blocks glued at one corner, its
-genus is the sum of theirs, and the chord's bit never changes the face
-count: the search fixes it at 0 too.
-A loop chord, with adjacent endpoints, is the case where A or B is
-empty.  gaussreal._pure spells out how the search walks the faces.  The
-worst case is still exponential: a summand that keeps several of its own
-rotations spherical multiplies the leaves the search must reach.  Each
-trefoil summand ``a b c a b c`` appended to ``1 2 1 2`` doubles the nodes
-visited (1,273 for seven summands, 23 chords), while ``a b b a`` shells,
-whose outer chord is isolated, add two nodes each (28 for eleven shells,
-24 chords).
+Chords join in maximum-cardinality order over the curve: from chord 0,
+the next chord has the most curve edges into the joined ones.  Each
+chord after the first has such an edge, so the sub-map stays connected:
+the first edge that joins a chord to another attaches it, and every
+later edge is within one component and gets a face test.  A leaf that
+was never pruned is a map of genus 0.  The full map is connected, since
+the curve runs through every edge, so that leaf is a sphere with
+F = n + 2.  The first chord of each component to join tries bit 0 only,
+which by the flip argument loses no sphere, and the first leaf reached
+is normalised by flipping each component whose top chord has bit 1: the
+least spherical mask, by the coset argument.  Should the coset fact
+fail on some diagram, the mask is still spherical, since flips keep the
+face count, but it might not be the least; the tests compare it with a
+scan of all 2**n masks.  gaussreal._pure spells out how the search
+walks the faces.
+
+The worst case is still exponential: before it answers -1, the search
+must prune every partial map of genus 0, and the hardest inputs for
+that, large words that pass the even condition and are no plane curve,
+are not yet measured.  Sums of small diagrams stay cheap, since each
+summand is its own component of the crossing graph and joins as one
+connected piece: ``1 2 1 2`` with nineteen trefoil summands
+``a b c a b c`` (59 chords) visits 136 nodes, where an index-order
+search doubled its visits per summand (1,273 for seven summands).
 
 Dart numbering (same conventions as the kernels): edge i runs from circle
 position i to position i+1 (mod 2n); dart 2i is its start end, dart 2i+1
@@ -206,9 +230,9 @@ def witness_for_mask(diagram: ChordDiagram, mask: int) -> EmbeddingWitness:
 def oracle_realizable(diagram: ChordDiagram) -> EmbeddingWitness | None:
     """Search all rotation systems; return the least spherical one, if any.
 
-    Flipping every bit mirrors the embedding and keeps its face count, so
-    the least spherical mask has bit n - 1 clear, and the search never
-    sets it.  The empty diagram is the simple closed curve and gets
+    Flipping every bit of a crossing-graph component keeps the face
+    count, so the search fixes one bit per component (see the module
+    docstring).  The empty diagram is the simple closed curve and gets
     a trivial witness.  The witness faces are retraced in pure Python even when the
     mask search ran compiled, so a kernel fault cannot fake a witness.
     """

@@ -84,6 +84,13 @@ def test_batch_all_realizable_exits_zero(tmp_path, capsys):
     assert code == 0
 
 
+def test_check_batch_names_a_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = _run(capsys, "check", "--batch", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_batch_structured_document(tmp_path, capsys):
     batch = tmp_path / "words.txt"
     batch.write_text("1 1\n1 2 1 2\n")

@@ -6,12 +6,14 @@ that refills every chord's rotation for each mask and counts its faces.
 The tests of the compiled ``gaussreal._speedups`` module run only when it
 imports: they compare its rotation search with ``gaussreal._pure`` call
 for call.  The reference scans all 2**n masks, so it also checks that
-the search may keep the top chord's bit at 0.  Both backends must refuse
-input the C cannot copy into its arrays.  Polygon words, realizable by
-construction, and their never-realizable mutants check the search at
-sizes the reference scan cannot reach.  Words padded with kinks, and
-words with ``a b b a`` shells, check that keeping an isolated chord's
-bit at 0 loses no spherical mask.
+the search may keep one bit per crossing-graph component at 0 and that
+flipping components turns its first leaf into the least mask.  Both
+backends must refuse input the C cannot copy into its arrays.  Polygon
+words, realizable by construction, and their never-realizable mutants
+check the search at sizes the reference scan cannot reach.  Words padded
+with kinks, words with ``a b b a`` shells, and sums of trefoils check
+that fixing a bit per component loses no spherical mask and keeps the
+search from turning exhaustive.
 """
 
 from __future__ import annotations
@@ -172,9 +174,8 @@ def test_loops_keep_bit_zero(backend):
     # bits of every kink would visit 2**42 - 1 nodes before giving up.
     word = [0, 1, 0, 1] + [c for c in range(2, 42) for _ in "ab"]
     assert kernels.find_planar_rotation(_flat_of(word), 42) == -1
-    # Kinks at both ends of the join order around a trefoil core (chords
-    # 3-5), the top chord among them: the least mask of all 2**8 keeps
-    # every kink's bit at 0.
+    # Kinks around a trefoil core (chords 3-5), chord 0 and the top chord
+    # among them: the least mask of all 2**8 keeps every kink's bit at 0.
     word = [0, 0, 3, 4, 7, 7, 5, 3, 4, 5, 1, 1, 2, 2, 6, 6]
     flat = _flat_of(word)
     expected = _full_refill_find_planar_rotation(flat, 8)
@@ -217,6 +218,24 @@ def test_shells_do_not_make_the_search_exhaustive(backend):
     for a in range(2, 62, 2):
         word = [a, a + 1, a + 1, a] + word if a % 4 else word + [a, a + 1, a + 1, a]
     assert kernels.find_planar_rotation(_flat_of(word), 62) == -1
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_trefoil_summands_do_not_make_the_search_exhaustive(backend):
+    kernels = _pure if backend == "pure" else _speedups()
+    # Each summand a b c a b c is a component of the crossing graph.  On
+    # 1 2 1 2, no plane curve, a search that tried both bits of each
+    # summand's first chord would double its visits per summand: about
+    # five million nodes for these 19.
+    summands = [c for a in range(2, 59, 3) for c in (a, a + 1, a + 2) * 2]
+    assert kernels.find_planar_rotation(_flat_of([0, 1, 0, 1] + summands), 59) == -1
+    # On the trefoil, the sum is a plane curve, and the mask has each
+    # summand's top chord, 3j + 2, at bit 0.
+    word = [0, 1, 2, 0, 1, 2] + [c + 1 for c in summands]
+    diagram = diagram_from_word(" ".join(map(str, word)))
+    mask = kernels.find_planar_rotation(_endpoints_flat(diagram), 60)
+    assert witness_for_mask(diagram, mask).euler == 2
+    assert not any(mask >> (3 * j + 2) & 1 for j in range(20))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -85,6 +85,56 @@ def test_flipping_every_bit_keeps_the_face_count(n, canonical_by_n):
             assert len(faces) == len(mirror)
 
 
+def _crossing_components(diagram):
+    """Chord masks of the components of the crossing graph."""
+    ends = diagram.endpoints
+
+    def cross(a, b):
+        (f, s), (p, q) = ends[a], ends[b]
+        return (f < p < s) != (f < q < s)
+
+    components = []
+    seen = 0
+    for c in range(diagram.n):
+        if seen >> c & 1:
+            continue
+        component, todo = 0, [c]
+        while todo:
+            a = todo.pop()
+            if not component >> a & 1:
+                component |= 1 << a
+                todo.extend(b for b in range(diagram.n) if cross(a, b))
+        seen |= component
+        components.append(component)
+    return components
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flipping_a_crossing_component_keeps_the_face_count(n, canonical_by_n):
+    """The fact that lets the search fix one bit per component."""
+    for d in canonical_by_n(n):
+        faces = [witness_for_mask(d, mask).face_count for mask in range(1 << n)]
+        for component in _crossing_components(d):
+            for mask in range(1 << n):
+                assert faces[mask ^ component] == faces[mask], (d.word, mask)
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.permutations(list(range(n)) * 2),
+            st.integers(min_value=0, max_value=(1 << n) - 1),
+        )
+    )
+)
+def test_flipping_a_crossing_component_keeps_the_face_count_on_random_words(case):
+    word, mask = case
+    d = diagram_from_word(GaussWord.from_tokens(word))
+    faces = witness_for_mask(d, mask).face_count
+    for component in _crossing_components(d):
+        assert witness_for_mask(d, mask ^ component).face_count == faces
+
+
 def _unhalved_least_mask(diagram):
     """The least of all 2**n masks whose traced faces give Euler 2."""
     m = build_map(diagram)
