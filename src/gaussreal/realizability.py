@@ -37,10 +37,20 @@ S[x][c] = 0 when x does not cross c; on the diagonal the entry is
 S[a][a] + u_a·|u|, and every row has even weight.  When a and b both
 cross c, they cross in A' iff they did not in A, and |u| is even, which
 leaves the triangle rule.  So one pass over the crossing pairs checks
-every smoothing; ``_decide`` applies the rule, and
-``smoothing.toggle_rows`` is the reference it is tested against.  The
-rule is the cocycle condition of the same paper on 3-cycles only, which
-is why the diagram above passes it: its odd cycle is longer than 3.
+every smoothing, and ``smoothing.toggle_rows`` is the reference the rule
+is tested against.  The rule is the *cocycle condition* of the same
+paper on 3-cycles only, which is why the diagram above passes it: its
+odd cycle is longer than 3.  The cocycle condition asks for some
+h: chords → GF(2) with h_a + h_b = 1 + S[a][b] for every crossing pair
+a, b.  Write E[a][b] = 1 + S[a][b] for a crossing pair, the bits that
+``_decide`` keeps as ``evens``.  Given an h, the E-terms of a triangle
+a, b, c sum to (h_a + h_b) + (h_b + h_c) + (h_c + h_a) = 0, so its
+S-terms sum to 1 and the triangle is odd.  So when ``_cocycle`` finds an
+h, in O(n) row operations, every smoothing keeps the even condition and
+``_decide`` returns at once; only when no h exists does it run the
+triangle loop, O(n²) row operations, to name the first failing
+smoothing, or none, as on the diagram above.  The cocycle condition
+changes no verdict here: it only skips the loop.
 Witnesses ride on the word rule for smoothing and on chord labels, and
 are built only for the first check that fails.  The rotation-system
 route in ``gaussreal.oracle`` shares none of this code and is used to
@@ -123,21 +133,37 @@ def even_condition(diagram: ChordDiagram) -> EvenConditionReport:
     empty, so they can never violate anything themselves, and pairs
     involving them share zero partners.  Violations are listed in label
     order, chord violations before pair violations.
+    """
+    return _even_report(diagram, interlacement(diagram).rows)
+
+
+def _even_report(diagram: ChordDiagram, rows) -> EvenConditionReport:
+    """``even_condition`` on the diagram with crossing rows ``rows``.
 
     Bit b of row a of S = A² is the parity of the partners a and b share
     (for b = a, of the chords a crosses), so the violations are the bits
     of S outside A.  Row a of S is the XOR of the rows of the chords
     crossing a, which ``_square_rows`` gives for every a at once.  The
-    chords are sorted by label once, into ``order``; violations and the
-    names in them are read off in that order, each pair from its chord
-    that comes first, so everything comes out in label order unsorted.
+    chords are sorted by label once, into ``order``, and ``rank`` is each
+    chord's place in it.  Violations are read off in that order, each
+    pair from its chord that comes first; the names in one violation are
+    the labels of its set bits, sorted by rank.
     """
-    rows = interlacement(diagram).rows
     labels = diagram.labels
     order = sorted(range(diagram.n), key=lambda c: _label_key(labels[c]))
+    ranked = [labels[c] for c in order]
+    rank = [0] * diagram.n
+    for i, c in enumerate(order):
+        rank[c] = i
 
     def names(bits) -> tuple[str, ...]:
-        return tuple([labels[c] for c in order if bits >> c & 1])
+        ranks = []
+        while bits:
+            low = bits & -bits
+            ranks.append(rank[low.bit_length() - 1])
+            bits ^= low
+        ranks.sort()
+        return tuple([ranked[i] for i in ranks])
 
     chord_violations = []
     pair_violations = []
@@ -265,8 +291,10 @@ def _decide(diagram: ChordDiagram, rows) -> int | None:
     crossing an odd number of chords, which most failing diagrams show at
     once, then the rows of S from ``_square_rows``, as in
     ``even_condition``.  Otherwise each chord keeps the partners with
-    which it shares an even number of chords, and each smoothing is
-    checked by the triangle rule of the module docstring.
+    which it shares an even number of chords.  If ``_cocycle`` finds an h,
+    every triangle is odd (module docstring), so every smoothing holds,
+    at the cost of O(n) row operations.  If not, each smoothing is
+    checked by the triangle rule, O(n²) row operations in all.
     A failing triangle fails the smoothing of each of its chords, so the
     first failing chord is the least chord of a failing triangle, and
     chord c need only look at triangles whose other chords lie above c.
@@ -280,10 +308,39 @@ def _decide(diagram: ChordDiagram, rows) -> int | None:
         if square & ~row:
             return -1
         evens.append(row & ~square)
+    if _cocycle(rows, evens) is not None:
+        return None
     for c, row in enumerate(rows):
         if not _triangles_odd(rows, evens, c, row >> c + 1 << c + 1):
             return c
     return None
+
+
+def _cocycle(rows, evens) -> int | None:
+    """A solution h of the cocycle condition as a bitmask, or None.
+
+    ``evens[a]`` holds the partners b of a with E[a][b] = 1, so h must
+    give h_a + h_b = E[a][b] on every crossing pair.  One breadth-first
+    search per component of the crossing graph fixes h: the root gets 0,
+    and each new neighbour b of a gets h_a + E[a][b].  One pass then
+    checks every chord a: the partners whose h differs from h_a must be
+    exactly ``evens[a]``.
+    """
+    h = 0
+    unseen = (1 << len(rows)) - 1
+    while unseen:
+        queue = [(unseen & -unseen).bit_length() - 1]
+        unseen &= unseen - 1
+        for a in queue:
+            new = rows[a] & unseen
+            if new:
+                unseen ^= new
+                h |= new & (~evens[a] if h >> a & 1 else evens[a])
+                queue.extend(iter_bits(new))
+    for a, row in enumerate(rows):
+        if (~h if h >> a & 1 else h) & row != evens[a]:
+            return None
+    return h
 
 
 def _triangles_odd(rows, evens, c: int, among: int) -> bool:
@@ -338,14 +395,19 @@ def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     of the kink-free diagram itself if there is one, otherwise the first
     chord (in index order) whose smoothing violates, with that smoothing's
     full violation list.  Only that witness is labelled, through
-    ``even_condition`` and the word rule on the kink-free diagram.
+    ``even_condition`` and the word rule on the kink-free diagram; when
+    there are no kinks, the diagram's own rows serve.
     """
     rows = interlacement(diagram).rows
     failed = _decide(diagram, rows)
     reduced = _drop_kinks(diagram, rows)
     witness: EvenConditionViolation | SmoothingViolation | None = None
     if failed == -1:
-        witness = EvenConditionViolation(report=even_condition(reduced))
+        if reduced is diagram:
+            report = _even_report(diagram, rows)
+        else:
+            report = even_condition(reduced)
+        witness = EvenConditionViolation(report=report)
     elif failed is not None:
         result = smooth_by_word(reduced, diagram.labels[failed])
         witness = SmoothingViolation(
