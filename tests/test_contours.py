@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from gaussreal import (
@@ -20,6 +22,7 @@ from gaussreal import (
     smooth_by_word,
     transfer_witness,
 )
+from gaussreal.codec import document_to_json
 
 # Eight chords, even condition holds, yet no plane curve realizes it; the
 # X-contour of chords 1 and 3 exposes colorful chords.
@@ -228,3 +231,67 @@ def test_x_contour_members_and_doors_fixture():
     total = set(doc["members"]) | set(doc["doors"]) | {"1", "3"}
     assert total <= set(d.labels)
     assert oracle_realizable(d) is None  # the fixture really is non-realizable
+
+
+# SHA-256 of every contour document for the canonical diagrams with n <= 6;
+# see ``_contour_entries``.
+CONTOUR_DOCUMENTS_PIN = "f39f3cce89760c3eed9df7ec8ff8eaa3c645dd061696b54c6719459f920d3c8f"
+
+
+def _colored(diagram, contour) -> dict:
+    coloring = color_complement(contour)
+    return {
+        "contour": contour.document(),
+        "coloring": coloring.document(),
+        "colorful": sorted(colorful_chords(diagram, contour, coloring)),
+    }
+
+
+def _contour_entries(d):
+    """Each C-contour, each X-contour, then the witness and its transfer.
+
+    C-contours are taken for every chord and X-contours for every ordered
+    crossing pair, both on both selectors, each with its coloring and
+    colorful chords; a degenerate X-contour gives its error message.
+    """
+    rows = interlacement(d).rows
+    for a in d.labels:
+        for selector in (0, 1):
+            yield _colored(d, build_c_contour(d, a, selector))
+    for ai in range(d.n):
+        for bi in range(d.n):
+            if not rows[ai] >> bi & 1:
+                continue
+            for selector in (0, 1):
+                x = build_x_contour(d, d.labels[ai], d.labels[bi], selector)
+                try:
+                    yield _colored(d, x)
+                except DegenerateContour as exc:
+                    yield {"contour": x.document(), "degenerate": str(exc)}
+    w = exists_colorful_witness(d)
+    if w is None:
+        yield {"word": d.word.text(), "witness": None}
+        return
+    result, contour, coloring = transfer_witness(d, w)
+    yield {
+        "word": d.word.text(),
+        "witness": w.document(),
+        "smoothed_word": result.word.text(),
+        "transfer": {
+            "contour": contour.document(),
+            "coloring": coloring.document(),
+            "colorful": sorted(colorful_chords(result.diagram, contour, coloring)),
+        },
+    }
+
+
+def test_contour_documents_match_their_pin_up_to_six_chords(canonical_by_n):
+    digest = hashlib.sha256()
+    entries = 0
+    for n in range(7):
+        for d in canonical_by_n(n):
+            for entry in _contour_entries(d):
+                digest.update(document_to_json(entry).encode("utf-8"))
+                entries += 1
+    assert entries == 20837
+    assert digest.hexdigest() == CONTOUR_DOCUMENTS_PIN
