@@ -10,7 +10,9 @@ necessary but not sufficient: the nine-chord diagram
 plays the two against each other over all canonical diagrams up to a
 chord bound.  The contour machinery (``exists_colorful_witness``) looks
 for the paper's colorful-chord obstruction; it finds none on that
-nine-chord diagram either.
+nine-chord diagram either.  One ``Contour`` type serves both of its
+kinds: a C-contour of one chord and an X-contour of two crossing chords,
+each with its contour arcs.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND
@@ -23,11 +25,10 @@ from .codec import (
 )
 from .contours import (
     ArcColoring,
-    CContour,
     ChordsDoNotCross,
     ColorfulWitness,
+    Contour,
     DegenerateContour,
-    XContour,
     build_c_contour,
     build_x_contour,
     color_complement,
@@ -92,11 +93,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcColoring",
-    "CContour",
     "CanonicalForm",
     "ChordDiagram",
     "ChordsDoNotCross",
     "ColorfulWitness",
+    "Contour",
     "DegenerateContour",
     "Disagreement",
     "EmbeddingWitness",
@@ -120,7 +121,6 @@ __all__ = [
     "SweepRow",
     "UnknownChord",
     "WitnessMismatch",
-    "XContour",
     "build_c_contour",
     "build_map",
     "build_x_contour",

@@ -307,12 +307,9 @@ def main(argv=None) -> int:
         ValueError,
         OSError,
     ) as exc:
-        # An OSError's first argument is its errno, and str() of a KeyError
-        # such as UnknownChord quotes its text.
-        if isinstance(exc, OSError) or not exc.args:
-            message = str(exc)
-        else:
-            message = exc.args[0]
+        # str() of a KeyError such as UnknownChord quotes its text; the
+        # first argument of other errors may be an errno or a codec name.
+        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
         print("error: %s" % message, file=sys.stderr)
         return 2
 

@@ -4,11 +4,14 @@ A *C-contour* C(a) is a chord ``a`` together with one of the two circle
 arcs bounded by its endpoints.  An *X-contour* X(a, b) of two crossing
 chords is the analogous region bounded by both chords and two opposite
 circle arcs: the four endpoints cut the circle into four arcs, and the
-contour takes one opposite pair of them.  Both kinds classify the other
-chords the same way: a chord with both endpoints inside the contour arcs
-is a member, and one with exactly one endpoint inside is a door.  For a
-C-contour the doors are therefore exactly the chords crossing ``a``, on
-either arc; the tests check that against the crossing rows.
+contour takes one opposite pair of them.  One type, ``Contour``, holds
+both kinds: its contour chords ``(a,)`` or ``(a, b)`` and its contour
+arcs in circle order, so the complement components, the classification
+and the coloring follow one rule whatever the number of chords.  A chord
+with both endpoints inside the contour arcs is a member, and one with
+exactly one endpoint inside is a door.  For a C-contour the doors are
+therefore exactly the chords crossing ``a``, on either arc; the tests
+check that against the crossing rows.
 
 Colorings.  The circle segments outside a contour split into complement
 components (one arc for a C-contour, two opposite arcs for an X-contour).
@@ -82,81 +85,60 @@ def _members_and_doors(
 
 
 @dataclass(frozen=True)
-class CContour:
-    """Chord ``a`` plus a chosen arc; doors are exactly the chords crossing a."""
+class Contour:
+    """Contour chords plus the circle arcs that close them into a region.
+
+    ``chords`` is ``(a,)`` for a C-contour and ``(a, b)`` for an X-contour;
+    ``arcs`` holds the contour arcs, as (start, stop) boundary positions,
+    in circle order.
+    """
 
     diagram: ChordDiagram
-    a: int  # chord index
-    selector: int  # 0: arc from first endpoint to second; 1: the other arc
-    arc: tuple[int, int]  # (start, stop) boundary positions of the chosen arc
+    chords: tuple[int, ...]  # chord indices
+    selector: int  # which arc (C) or opposite arc pair (X); see the builders
+    arcs: tuple[tuple[int, int], ...]
     members: frozenset[int]
     doors: frozenset[int]
 
     @property
     def a_label(self) -> str:
-        return self.diagram.labels[self.a]
-
-    @property
-    def chord_indices(self) -> frozenset[int]:
-        return frozenset((self.a,))
-
-    @property
-    def complement_components(self) -> tuple[tuple[int, int], ...]:
-        return ((self.arc[1], self.arc[0]),)
-
-    def document(self) -> dict:
-        labels = self.diagram.labels
-        return {
-            "kind": "c-contour",
-            "chord": self.a_label,
-            "selector": self.selector,
-            "arc": list(self.arc),
-            "members": sorted((labels[c] for c in self.members), key=_label_key),
-            "doors": sorted((labels[c] for c in self.doors), key=_label_key),
-        }
-
-
-@dataclass(frozen=True)
-class XContour:
-    """Crossing chords ``a, b`` plus an opposite pair of the four arcs."""
-
-    diagram: ChordDiagram
-    a: int
-    b: int
-    selector: int  # 0: arcs starting at a's endpoints; 1: arcs starting at b's
-    arcs: tuple[tuple[int, int], tuple[int, int]]
-    members: frozenset[int]
-    doors: frozenset[int]
-    non_degenerate: bool
-
-    @property
-    def a_label(self) -> str:
-        return self.diagram.labels[self.a]
+        return self.diagram.labels[self.chords[0]]
 
     @property
     def b_label(self) -> str:
-        return self.diagram.labels[self.b]
+        return self.diagram.labels[self.chords[1]]
 
     @property
-    def chord_indices(self) -> frozenset[int]:
-        return frozenset((self.a, self.b))
+    def non_degenerate(self) -> bool:
+        """The contour has doors and some chord lies wholly outside it."""
+        outside = self.diagram.n - len(self.members) - len(self.chords)
+        return bool(self.doors) and outside > 0
 
     @property
     def complement_components(self) -> tuple[tuple[int, int], ...]:
-        (s0, t0), (s1, t1) = self.arcs
-        return ((t0, s1), (t1, s0))
+        """Each component runs from one arc's stop to the next arc's start."""
+        arcs = self.arcs
+        return tuple(
+            (stop, arcs[(i + 1) % len(arcs)][0]) for i, (_, stop) in enumerate(arcs)
+        )
 
     def document(self) -> dict:
         labels = self.diagram.labels
-        return {
-            "kind": "x-contour",
-            "chords": [self.a_label, self.b_label],
+        doc = {
             "selector": self.selector,
-            "arcs": [list(arc) for arc in self.arcs],
             "members": sorted((labels[c] for c in self.members), key=_label_key),
             "doors": sorted((labels[c] for c in self.doors), key=_label_key),
-            "non_degenerate": self.non_degenerate,
         }
+        if len(self.chords) == 1:
+            doc.update(kind="c-contour", chord=self.a_label, arc=list(self.arcs[0]))
+        else:
+            doc.update(
+                kind="x-contour",
+                chords=[self.a_label, self.b_label],
+                arcs=[list(arc) for arc in self.arcs],
+                non_degenerate=self.non_degenerate,
+            )
+        return doc
 
 
 @dataclass(frozen=True)
@@ -203,31 +185,30 @@ class ArcColoring:
         }
 
 
-def build_c_contour(diagram: ChordDiagram, a: str, arc_selector: int = 0) -> CContour:
+def _contour(diagram: ChordDiagram, chords, selector: int, arcs) -> Contour:
+    if selector not in (0, 1):
+        raise ValueError("arc selector must be 0 or 1")
+    members, doors = _members_and_doors(diagram, arcs, chords)
+    return Contour(diagram, chords, selector, arcs, members, doors)
+
+
+def build_c_contour(diagram: ChordDiagram, a: str, arc_selector: int = 0) -> Contour:
     """Contour of chord ``a`` and its chosen arc (selector 0 or 1).
 
-    Doors are the chords with exactly one endpoint inside the chosen arc,
-    which are exactly the chords crossing ``a`` on either selector.
+    Selector 0 takes the arc from a's first endpoint to its second, and
+    selector 1 the other one.  Doors are the chords with exactly one
+    endpoint inside the chosen arc, which are exactly the chords crossing
+    ``a`` on either selector.
     """
-    if arc_selector not in (0, 1):
-        raise ValueError("arc selector must be 0 or 1")
     ai = diagram.index_of(a)
     p, q = diagram.endpoints[ai]
     arc = (p, q) if arc_selector == 0 else (q, p)
-    members, doors = _members_and_doors(diagram, (arc,), (ai,))
-    return CContour(
-        diagram=diagram,
-        a=ai,
-        selector=arc_selector,
-        arc=arc,
-        members=members,
-        doors=doors,
-    )
+    return _contour(diagram, (ai,), arc_selector, (arc,))
 
 
 def build_x_contour(
     diagram: ChordDiagram, a: str, b: str, arc_selector: int = 0
-) -> XContour:
+) -> Contour:
     """Contour of the crossing pair ``a, b`` and an opposite arc pair.
 
     The four endpoints in circle order alternate between the two chords.
@@ -238,8 +219,6 @@ def build_x_contour(
     vice versa (selector 1).  Doors are the chords with exactly one
     endpoint inside the two contour arcs.
     """
-    if arc_selector not in (0, 1):
-        raise ValueError("arc selector must be 0 or 1")
     ai = diagram.index_of(a)
     bi = diagram.index_of(b)
     p, q = diagram.endpoints[ai]
@@ -257,29 +236,20 @@ def build_x_contour(
         arcs = ((q0, q1), (q2, q3))
     else:
         arcs = ((q1, q2), (q3, q0))
-    members, doors = _members_and_doors(diagram, arcs, (ai, bi))
-    return XContour(
-        diagram=diagram,
-        a=ai,
-        b=bi,
-        selector=arc_selector,
-        arcs=arcs,
-        members=members,
-        doors=doors,
-        non_degenerate=bool(doors) and len(members) + 2 < diagram.n,
-    )
+    return _contour(diagram, (ai, bi), arc_selector, arcs)
 
 
-def color_complement(contour: CContour | XContour) -> ArcColoring:
+def color_complement(contour: Contour) -> ArcColoring:
     """Paint the segments outside the contour, flipping at door endpoints.
 
     Each complement component is walked forward from its start position.
     The first segment of a C-contour component is colored A.  An X-contour
     component is anchored at whichever of its two ends belongs to chord
     ``b``: the segment adjacent to that end gets color A, which fixes the
-    walk's initial color on either selector.
+    walk's initial color on either selector.  Only X-contours must be
+    non-degenerate: every C-contour is colored, kinks included.
     """
-    if isinstance(contour, XContour) and not contour.non_degenerate:
+    if len(contour.chords) == 2 and not contour.non_degenerate:
         raise DegenerateContour(
             "X(%s, %s) selector %d has no doors or no outside chords"
             % (contour.a_label, contour.b_label, contour.selector)
@@ -291,11 +261,7 @@ def color_complement(contour: CContour | XContour) -> ArcColoring:
     segments: list[str | None] = [None] * m
     anchors = []
     flips = []
-    b_ends = (
-        set(diagram.endpoints[contour.b])
-        if isinstance(contour, XContour)
-        else set()
-    )
+    b_ends = {p for c in contour.chords[1:] for p in diagram.endpoints[c]}
     for start, stop in contour.complement_components:
         # A walk starts at a contour corner and stays outside the contour
         # arcs, so it meets only the door ends in painted territory.
@@ -320,7 +286,7 @@ def color_complement(contour: CContour | XContour) -> ArcColoring:
 
 def colorful_chords(
     diagram: ChordDiagram,
-    contour: CContour | XContour,
+    contour: Contour,
     coloring: ArcColoring,
 ) -> frozenset[str]:
     """Labels of chords whose two endpoints sit on different colors.
@@ -329,7 +295,7 @@ def colorful_chords(
     chords themselves, not members, not doors.  Such a chord's endpoints
     are interior to painted arcs, so ``color_at`` is well defined.
     """
-    excluded = contour.chord_indices | contour.members | contour.doors
+    excluded = set(contour.chords) | contour.members | contour.doors
     found = []
     for c, (p, q) in enumerate(diagram.endpoints):
         if c in excluded:
@@ -343,13 +309,9 @@ def colorful_chords(
 class ColorfulWitness:
     """A non-degenerate X-contour plus one of its colorful chords."""
 
-    contour: XContour
+    contour: Contour
     chord: str
     coloring: ArcColoring
-
-    @property
-    def word(self) -> str:
-        return self.contour.diagram.word.text()
 
     def document(self) -> dict:
         return {
@@ -387,7 +349,7 @@ def exists_colorful_witness(diagram: ChordDiagram) -> ColorfulWitness | None:
 
 def transfer_witness(
     diagram: ChordDiagram, witness: ColorfulWitness
-) -> tuple[SmoothingResult, CContour, ArcColoring]:
+) -> tuple[SmoothingResult, Contour, ArcColoring]:
     """Re-express an X-contour witness as a C-contour one after smoothing.
 
     Smoothing chord b of the witness contour leaves a diagram in which the

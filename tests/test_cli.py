@@ -91,6 +91,14 @@ def test_check_batch_names_a_missing_file(tmp_path, capsys):
     assert err.startswith("error: ") and str(missing) in err
 
 
+def test_check_batch_names_a_decoding_error(tmp_path, capsys):
+    batch = tmp_path / "words.txt"
+    batch.write_bytes(b"1 2 1 2\n\xff\n")
+    code, out, err = _run(capsys, "check", "--batch", str(batch))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "can't decode" in err
+
+
 def test_batch_structured_document(tmp_path, capsys):
     batch = tmp_path / "words.txt"
     batch.write_text("1 1\n1 2 1 2\n")

@@ -70,7 +70,7 @@ def test_every_door_has_one_endpoint_inside_the_chosen_arc():
             for a in d.labels:
                 for selector in (0, 1):
                     c = build_c_contour(d, a, selector)
-                    start, stop = c.arc
+                    (start, stop), = c.arcs
                     m = 2 * d.n
                     inside = set()
                     p = (start + 1) % m
@@ -189,7 +189,7 @@ def test_witness_search_finds_the_least_witness():
     assert w is not None
     assert (w.contour.a_label, w.contour.b_label, w.contour.selector) == ("0", "2", 0)
     assert w.chord == "5"
-    assert w.word == EVEN_NONREAL_8
+    assert w.contour.diagram.word.text() == EVEN_NONREAL_8
 
 
 def test_witness_search_is_empty_on_realizable_words():
