@@ -19,6 +19,7 @@ search from turning exhaustive.
 from __future__ import annotations
 
 import functools
+import hashlib
 import importlib.util
 import random
 from pathlib import Path
@@ -87,6 +88,23 @@ def test_pure_scan_matches_the_full_refill_scan(n, canonical_by_n):
         flat = _endpoints_flat(diagram)
         expected = _full_refill_find_planar_rotation(flat, n)
         assert _pure.find_planar_rotation(flat, n) == expected, diagram.word
+
+
+# SHA-256 of "<canonical word>: <mask>\n" over the canonical diagrams
+# with 1 to 7 chords, in enumeration order.
+PURE_SEARCH_PIN = "b41527aa04c681904959900ed104bd7c950d40464bac43dd165c61268db81ce4"
+
+
+def test_pure_search_matches_its_pin_up_to_seven_chords(canonical_by_n):
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for diagram in canonical_by_n(n):
+            mask = _pure.find_planar_rotation(_endpoints_flat(diagram), n)
+            digest.update(b"%s: %d\n" % (diagram.word.text().encode(), mask))
+            count += 1
+    assert count == 5941
+    assert digest.hexdigest() == PURE_SEARCH_PIN
 
 
 def _speedups():
