@@ -1,7 +1,9 @@
 """Time the hot loops: the enumerator per level, and the rotation search.
 
-* ``canonical_keys`` for every chord count up to the given size.  The
-  enumerator is pure Python on both backends.
+* ``canonical_keys`` for every chord count up to the given size, and
+  ``CanonicalForm(key).diagram()`` over that level's keys.  The
+  enumerator and the key-to-diagram step are pure Python on both
+  backends.
 * ``find_planar_rotation`` over every canonical diagram of that size,
   called as the embedding oracle calls it; this depth-first,
   genus-pruned search is the inner loop of the oracle.  Both
@@ -20,7 +22,7 @@ import argparse
 import time
 from typing import Callable
 
-from gaussreal import _pure, canonical_keys, enumerate_canonical
+from gaussreal import CanonicalForm, _pure, canonical_keys, enumerate_canonical
 from gaussreal.oracle import _endpoints_flat
 
 try:
@@ -66,10 +68,13 @@ def main() -> None:
     if n < 1:
         parser.error("--max-chords must be at least 1")
 
-    print("canonical_keys, per level:")
+    print("canonical_keys, then key -> diagram, per level:")
     for level in range(1, n + 1):
         seconds, keys = _time(lambda: canonical_keys(level), args.repeat)
-        print("  n=%-6d %8.3fs  %d keys" % (level, seconds, len(keys)))
+        built, _ = _time(
+            lambda: [CanonicalForm(key).diagram() for key in keys], args.repeat
+        )
+        print("  n=%-6d %8.3fs %8.3fs  %d keys" % (level, seconds, built, len(keys)))
 
     diagrams = list(enumerate_canonical(n))
     flats = [(_endpoints_flat(d), d.n) for d in diagrams]

@@ -74,12 +74,18 @@ Dart/rotation conventions (shared with gaussreal.oracle):
   same way.  The test walks the face through the corner at one dart of
   the edge.  If that face misses the corner at the other dart, the edge
   joins two faces, and the node is pruned.
+- The pure search builds each depth when it first reaches it: the chord
+  that joins there, its darts and successors, its edge ranks and face
+  tests, its weight updates and, if it starts a component, that
+  component.  Most calls prune before the last depths, which are then
+  never built; the C builds every depth up front, so the two still
+  visit the same nodes.  Backtracking never goes below a built depth,
+  and every component is known by the first leaf.  A dart whose edge
+  has not joined yet ranks 4n, above every test, so a face walk passes
+  over it like a dart of a later edge.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
-from operator import xor
 
 # The C search takes a 64-bit handedness mask, one bit per chord; the pure
 # one keeps the same bound so that both refuse the same input.
@@ -130,75 +136,33 @@ def find_planar_rotation(endpoints_flat, n) -> int:
     if n == 0:
         return -1
     m = 2 * n
+    firsts = endpoints_flat[0::2]
+    seconds = endpoints_flat[1::2]
     chord_at = [0] * m
-    for k, p in enumerate(endpoints_flat):
-        chord_at[p] = k >> 1
+    for c, (f, s) in enumerate(zip(firsts, seconds)):
+        chord_at[f] = chord_at[s] = c
+    # The chords on either side of each circle position.
+    before = chord_at[-1:] + chord_at[:-1]
+    after = chord_at[1:] + chord_at[:1]
     # prefix[p] is the XOR of 1 << chord over the positions before p, so
-    # crossing[c] holds c and the chords that cross it.
-    prefix = list(accumulate(map((1).__lshift__, chord_at), xor, initial=0))
-    ends = iter(endpoints_flat)
-    crossing = [prefix[f] ^ prefix[s] for f, s in zip(ends, ends)]
+    # prefix[f] ^ prefix[s] holds chord c, at f and s, and the chords that
+    # cross it.
+    prefix = [0]
+    for c in chord_at:
+        prefix.append(prefix[-1] ^ 1 << c)
     # Chords join in maximum-cardinality order.  weight[c] counts the curve
     # edges from c into the joined chords; a joined chord gets -5, which
-    # its four edge ends cannot lift to 0.  By join depth: the chord's
-    # darts reversed with the successors they take under bit 0 and under
-    # bit 1, and its face tests (see the conventions above).
+    # its four edge ends cannot lift to 0.  plan[k] holds the chord at
+    # depth k: its darts reversed, the successors they take under bit 0
+    # and under bit 1, and its face tests (see the conventions above).
+    # It is built when the search first reaches depth k, and until then
+    # the darts of the edges that join there rank 4n, above every test.
     order = []
+    plan = []
     weight = [0] * n
-    rank = [0] * (2 * m)
-    entries = []
-    tests = []
+    rank = [4 * n] * (4 * n)
     components = []
-    fixed = seen = r = c = 0
-    for k in range(n):
-        order.append(c)
-        weight[c] = -5
-        f = endpoints_flat[2 * c]
-        s = endpoints_flat[2 * c + 1]
-        fp = f - 1 if f else m - 1
-        sp = s - 1 if s else m - 1
-        in_f, out_f = 2 * fp + 1, 2 * f
-        in_s, out_s = 2 * sp + 1, 2 * s
-        entries.append(
-            (
-                (in_f ^ 1, in_s ^ 1, out_f ^ 1, out_s ^ 1),
-                ((in_s, out_f, out_s, in_f), (out_s, in_f, in_s, out_f)),
-            )
-        )
-        # The edges to joined chords: the first to another chord attaches
-        # c, each later one gets a face test, and a loop gets none.
-        a, b = chord_at[fp], chord_at[f + 1 - m]
-        x, y = chord_at[sp], chord_at[s + 1 - m]
-        attached = False
-        closing = []
-        for i, v in (fp, a), (f, b), (sp, x), (s, y):
-            if weight[v] >= 0:
-                continue  # v joins later, and so does the edge
-            rank[2 * i] = rank[2 * i + 1] = r
-            if v != c:
-                if attached:
-                    closing.append((2 * i, r))
-                attached = True
-            r += 1
-        tests.append(closing)
-        weight[a] += 1
-        weight[b] += 1
-        weight[x] += 1
-        weight[y] += 1
-        # The first chord of a crossing-graph component to join tries bit 0
-        # only.
-        if not seen >> c & 1:
-            fixed |= 1 << k
-            component = todo = 1 << c
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                new = crossing[low.bit_length() - 1] & ~component
-                component |= new
-                todo |= new
-            seen |= component
-            components.append(component)
-        c = weight.index(max(weight))
+    fixed = seen = ranked = built = 0
 
     # Depth first: the chord at depth k is next to join with this bit, and
     # `mask` holds the bits of the chords joined before it.
@@ -206,9 +170,76 @@ def find_planar_rotation(endpoints_flat, n) -> int:
     last = n - 1
     k = bit = mask = 0
     while True:
-        (p, q, u, v), succ = entries[k]
-        nxt[p], nxt[q], nxt[u], nxt[v] = succ[bit]
-        for t, r in tests[k]:
+        if k == built:  # the first visit of depth k: join the next chord
+            c = weight.index(max(weight))
+            order.append(c)
+            weight[c] = -5
+            f, s = firsts[c], seconds[c]
+            out_f, out_s = 2 * f, 2 * s
+            in_f = out_f - 1 if f else 2 * m - 1
+            in_s = out_s - 1 if s else 2 * m - 1
+            a, b, x, y = before[f], after[f], before[s], after[s]
+            # The edges to joined chords, into f, out of f, into s and out
+            # of s: the first to another chord attaches c, each later one
+            # gets a face test, and a loop gets none.
+            tests = []
+            attached = False
+            if weight[a] < 0:
+                rank[in_f] = rank[in_f ^ 1] = ranked
+                attached = a != c
+                ranked += 1
+            if weight[b] < 0:
+                rank[out_f] = rank[out_f ^ 1] = ranked
+                if b != c:
+                    if attached:
+                        tests.append((out_f, ranked))
+                    attached = True
+                ranked += 1
+            if weight[x] < 0:
+                rank[in_s] = rank[in_s ^ 1] = ranked
+                if x != c:
+                    if attached:
+                        tests.append((in_s ^ 1, ranked))
+                    attached = True
+                ranked += 1
+            if weight[y] < 0:
+                rank[out_s] = rank[out_s ^ 1] = ranked
+                if y != c and attached:
+                    tests.append((out_s, ranked))
+                ranked += 1
+            weight[a] += 1
+            weight[b] += 1
+            weight[x] += 1
+            weight[y] += 1
+            plan.append(
+                (
+                    in_f ^ 1,
+                    in_s ^ 1,
+                    out_f ^ 1,
+                    out_s ^ 1,
+                    (in_s, out_f, out_s, in_f),
+                    (out_s, in_f, in_s, out_f),
+                    tests,
+                )
+            )
+            # The first chord of a crossing-graph component to join tries
+            # bit 0 only.
+            if not seen >> c & 1:
+                fixed |= 1 << k
+                component = todo = 1 << c
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    j = low.bit_length() - 1
+                    new = (prefix[firsts[j]] ^ prefix[seconds[j]]) & ~component
+                    component |= new
+                    todo |= new
+                seen |= component
+                components.append(component)
+            built += 1
+        p, q, u, v, zero, one, tests = plan[k]
+        nxt[p], nxt[q], nxt[u], nxt[v] = one if bit else zero
+        for t, r in tests:
             # a and b follow t and t ^ 1 around their vertices in the
             # sub-map of the darts ranked below r; their faces pass
             # through the two corners that the edge splits.

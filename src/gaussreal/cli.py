@@ -81,14 +81,18 @@ def _cmd_check(args) -> int:
                         file=sys.stderr,
                     )
         reports.append(report)
+    # Headlines are formatted for text output only.
+    text = args.format == "text"
     if args.batch is not None:
         doc = codec.new_document("realizability-batch")
         doc["reports"] = [r.document() for r in reports]
-        lines = ["%s: %s" % (r.word.text(), r.headline()) for r in reports]
+        lines = []
+        if text:
+            lines = ["%s: %s" % (r.word.text(), r.headline()) for r in reports]
     else:
         doc = codec.new_document("realizability")
         doc.update(reports[0].document())
-        lines = [reports[0].headline()]
+        lines = [reports[0].headline()] if text else []
     _emit(args, doc, lines)
     return 0 if all(r.realizable for r in reports) else 1
 

@@ -36,20 +36,17 @@ class ParseError(ValueError):
 
 def parse_gauss_code(text: str) -> GaussWord:
     """Parse spaced or compact Gauss code text into a validated word."""
-    stripped = text.strip()
-    if not stripped:
-        return GaussWord(())
-    if any(ch.isspace() for ch in stripped):
-        tokens = stripped.split()
-    else:
-        # Compact form: one character per token.
-        if not stripped.isalnum():
+    tokens = text.split()
+    if len(tokens) == 1:
+        # No whitespace inside: the compact form, one character per token.
+        (compact,) = tokens
+        if not compact.isalnum():
             raise ParseError(
                 "compact Gauss code may only contain alphanumeric characters: %r"
                 % text
             )
-        tokens = list(stripped)
-    return GaussWord.from_tokens(tokens)
+        tokens = list(compact)
+    return GaussWord(tuple(tokens))
 
 
 def emit_gauss_code(word: GaussWord) -> str:

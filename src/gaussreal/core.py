@@ -202,6 +202,18 @@ def crossing_labels(diagram: ChordDiagram, inter: Interlacement) -> dict[str, fr
     }
 
 
+def _double_occurrence_word(symbols: tuple[str, ...]) -> GaussWord:
+    """A GaussWord built without ``GaussWord.__post_init__``.
+
+    For callers that have already checked that every symbol is non-empty
+    and occurs exactly twice, which is all ``__post_init__`` checks, so
+    counting the symbols again would only cost time.
+    """
+    word = object.__new__(GaussWord)
+    object.__setattr__(word, "symbols", symbols)
+    return word
+
+
 @lru_cache(maxsize=None)
 def _numerals(n: int) -> tuple[str, ...]:
     """The labels "1".."n" of a canonical word."""
@@ -239,13 +251,14 @@ class CanonicalForm:
         for p, c in enumerate(key):
             if c == len(starts):
                 starts.append(p)
-            elif 0 <= c < len(starts):
-                ends[c] = p
-            else:  # not numbered by first occurrence
+            elif 0 <= c < len(starts) and not ends[c]:
+                ends[c] = p  # p > 0, so 0 marks a chord still open
+            else:  # not numbered by first occurrence, or a third occurrence
                 return diagram_from_word(self.word)
+        if len(key) != 2 * len(starts):  # a chord that never closes
+            return diagram_from_word(self.word)
         labels = _numerals(len(starts))
-        # GaussWord still checks that every label occurs exactly twice.
-        word = GaussWord(tuple([labels[c] for c in key]))
+        word = _double_occurrence_word(tuple([labels[c] for c in key]))
         diagram = ChordDiagram(word, labels, tuple(zip(starts, ends)))
         diagram.__dict__["position_chord"] = key  # the key is the index word
         return diagram

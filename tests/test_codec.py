@@ -27,6 +27,32 @@ def test_parse_compact_single_character_form():
     assert parse_gauss_code("1212").symbols == ("1", "2", "1", "2")
 
 
+def test_parse_tab_and_newline_separated_tokens():
+    assert parse_gauss_code("1\t2\t1\t2").symbols == ("1", "2", "1", "2")
+    assert parse_gauss_code("a\nb\na\nb\n").symbols == ("a", "b", "a", "b")
+
+
+def test_parse_one_token_is_the_compact_form():
+    assert parse_gauss_code(" \tabab\n").symbols == ("a", "b", "a", "b")
+    assert parse_gauss_code("aa").symbols == ("a", "a")
+
+
+@given(st.text(alphabet="ab1 \t\n\x0b\x1c\xa0\u2003", max_size=8))
+def test_parse_reads_whitespace_as_str_isspace_does(text):
+    stripped = text.strip()
+    if any(ch.isspace() for ch in stripped):
+        expected = stripped.split()
+    else:
+        expected = list(stripped)
+    try:
+        word = parse_gauss_code(text)
+    except MalformedWord:
+        with pytest.raises(MalformedWord):
+            GaussWord.from_tokens(expected)
+    else:
+        assert list(word.symbols) == expected
+
+
 def test_parse_empty_is_the_empty_word():
     assert parse_gauss_code("").n == 0
     assert parse_gauss_code("  \n").n == 0

@@ -175,6 +175,17 @@ def test_keys_not_numbered_by_first_occurrence_take_the_word_route():
         CanonicalForm(key=(0, 1, 0, 0)).diagram()
 
 
+@pytest.mark.parametrize(
+    "key", [(0, 0, 0, 0), (0, 1, 0, 1, 0, 1), (0, 1, 0), (0, 1, 2, 0, 1, 1)]
+)
+def test_malformed_keys_raise_the_word_route_error(key):
+    with pytest.raises(MalformedWord) as expected:
+        diagram_from_word(CanonicalForm(key=key).word)
+    with pytest.raises(MalformedWord) as raised:
+        CanonicalForm(key=key).diagram()
+    assert str(raised.value) == str(expected.value)
+
+
 def test_sweep_items_drop_kinked_diagrams_only_when_asked():
     for key in enumeration._orderly_keys(5):
         kinked = bool(interlacement(CanonicalForm(key=key).diagram()).isolated())
