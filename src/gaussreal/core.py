@@ -243,7 +243,9 @@ class CanonicalForm:
         """``diagram_from_word(self.word)``, built from the key in one pass.
 
         A key numbers its chords by first occurrence, so chord c is the one
-        labelled str(c + 1), and its endpoints are where c occurs.
+        labelled str(c + 1), and its endpoints are where c occurs.  The pass
+        also checks that each chord occurs exactly twice; any other key
+        takes the word route, which raises the same MalformedWord.
         """
         key = self.key
         starts: list[int] = []
