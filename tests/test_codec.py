@@ -20,19 +20,14 @@ from gaussreal.codec import (
 def test_parse_whitespace_separated_tokens():
     w = parse_gauss_code(" 1 2  10 1\t2 10 ")
     assert w.symbols == ("1", "2", "10", "1", "2", "10")
+    assert parse_gauss_code("1\t2\t1\t2").symbols == ("1", "2", "1", "2")
+    assert parse_gauss_code("a\nb\na\nb\n").symbols == ("a", "b", "a", "b")
 
 
 def test_parse_compact_single_character_form():
     assert parse_gauss_code("abab").symbols == ("a", "b", "a", "b")
     assert parse_gauss_code("1212").symbols == ("1", "2", "1", "2")
-
-
-def test_parse_tab_and_newline_separated_tokens():
-    assert parse_gauss_code("1\t2\t1\t2").symbols == ("1", "2", "1", "2")
-    assert parse_gauss_code("a\nb\na\nb\n").symbols == ("a", "b", "a", "b")
-
-
-def test_parse_one_token_is_the_compact_form():
+    # One token, however much whitespace is around it.
     assert parse_gauss_code(" \tabab\n").symbols == ("a", "b", "a", "b")
     assert parse_gauss_code("aa").symbols == ("a", "a")
 
