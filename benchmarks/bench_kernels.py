@@ -1,9 +1,10 @@
 """Time the hot loops: the enumerator per level, and the rotation search.
 
-* ``canonical_keys`` for every chord count up to the given size, and
-  ``CanonicalForm(key).diagram()`` over that level's keys.  The
+* ``canonical_keys`` for every chord count up to the given size,
+  ``CanonicalForm(key).diagram()`` over that level's keys, and the
+  sweep's per-key work, ``_sweep_item`` over the same keys.  The
   enumerator and the key-to-diagram step are pure Python on both
-  backends.
+  backends; ``_sweep_item`` searches with the selected backend.
 * ``find_planar_rotation`` over every canonical diagram of that size,
   called as the embedding oracle calls it; this depth-first,
   genus-pruned search is the inner loop of the oracle.  Both
@@ -22,7 +23,14 @@ import argparse
 import time
 from typing import Callable
 
-from gaussreal import CanonicalForm, _pure, canonical_keys, enumerate_canonical
+from gaussreal import (
+    KERNEL_BACKEND,
+    CanonicalForm,
+    _pure,
+    canonical_keys,
+    enumerate_canonical,
+)
+from gaussreal.enumeration import _sweep_item
 from gaussreal.oracle import _endpoints_flat
 
 try:
@@ -68,13 +76,20 @@ def main() -> None:
     if n < 1:
         parser.error("--max-chords must be at least 1")
 
-    print("canonical_keys, then key -> diagram, per level:")
+    print(
+        "canonical_keys, key -> diagram, then _sweep_item (%s search), per level:"
+        % KERNEL_BACKEND
+    )
     for level in range(1, n + 1):
         seconds, keys = _time(lambda: canonical_keys(level), args.repeat)
         built, _ = _time(
             lambda: [CanonicalForm(key).diagram() for key in keys], args.repeat
         )
-        print("  n=%-6d %8.3fs %8.3fs  %d keys" % (level, seconds, built, len(keys)))
+        swept, _ = _time(lambda: [_sweep_item(key) for key in keys], args.repeat)
+        print(
+            "  n=%-6d %8.3fs %8.3fs %8.3fs  %d keys"
+            % (level, seconds, built, swept, len(keys))
+        )
 
     diagrams = list(enumerate_canonical(n))
     flats = [(_endpoints_flat(d), d.n) for d in diagrams]

@@ -81,18 +81,20 @@ def _cmd_check(args) -> int:
                         file=sys.stderr,
                     )
         reports.append(report)
-    # Headlines are formatted for text output only.
-    text = args.format == "text"
-    if args.batch is not None:
-        doc = codec.new_document("realizability-batch")
-        doc["reports"] = [r.document() for r in reports]
-        lines = []
-        if text:
-            lines = ["%s: %s" % (r.word.text(), r.headline()) for r in reports]
+    # Each format builds only what it prints: documents or headlines.
+    doc: dict = {}
+    lines: list[str] = []
+    if args.format == "structured":
+        if args.batch is not None:
+            doc = codec.new_document("realizability-batch")
+            doc["reports"] = [r.document() for r in reports]
+        else:
+            doc = codec.new_document("realizability")
+            doc.update(reports[0].document())
+    elif args.batch is not None:
+        lines = ["%s: %s" % (r.word.text(), r.headline()) for r in reports]
     else:
-        doc = codec.new_document("realizability")
-        doc.update(reports[0].document())
-        lines = [reports[0].headline()] if text else []
+        lines = [reports[0].headline()]
     _emit(args, doc, lines)
     return 0 if all(r.realizable for r in reports) else 1
 

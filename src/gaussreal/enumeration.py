@@ -32,11 +32,15 @@ relabelled only up to its first difference from the word.
 other — the even-condition criterion of ``gaussreal.realizability`` and
 the rotation-system search of ``gaussreal.oracle`` — over every canonical
 diagram up to a chord bound.  Canonical keys stream from the calling
-process, n = 1 first, through one ``_kernels._map``.  Each key's diagram is
-built where the key is decided, in a worker process if asked, so only
-keys and verdicts cross between processes; only counts and disagreements
-are kept.  Disagreements are not errors of the harness; they are its most
-important output and are recorded with both witnesses and written out as
+process, n = 1 first, through one ``_kernels._map``.  Each key is decided
+where it runs, in a worker process if asked, so only keys and verdicts
+cross between processes; only counts and disagreements are kept.  A key
+is its diagram's ``position_chord``, and one pass over it gives the
+endpoints, which the oracle searches, and the crossing rows, which the
+criterion decides on.  So a key builds a labelled ``ChordDiagram`` only
+for the pure-Python retrace of a spherical mask and for a disagreement.
+Disagreements are not errors of the harness; they are its most important
+output and are recorded with both witnesses and written out as
 re-runnable batch lines.
 
 Structured sweep documents never include timing, so two runs with the
@@ -55,7 +59,8 @@ from typing import Iterator
 from . import _kernels, codec
 from .core import CanonicalForm, ChordDiagram, GaussWord, interlacement
 from .core import diagram_from_word  # noqa: F401  -- wrapped by perfbench/spans.py
-from .oracle import EmbeddingWitness, oracle_realizable
+from .oracle import EmbeddingWitness, planar_mask, spherical_witness
+from .oracle import oracle_realizable  # noqa: F401  -- wrapped by perfbench/spans.py
 from .realizability import RealizabilityReport, _decide, is_realizable
 
 
@@ -101,34 +106,50 @@ def _keys_with_gap(n: int, gap: int) -> Iterator[tuple[int, ...]]:
                 return True
         return False
 
-    def fill(p: int, fresh: int):
-        if p == m:
-            if not beaten():
-                yield tuple(word)
-            return
-        if open_:
-            oldest = p - start[open_[0]]
-            if oldest > far:
+    # One loop over positions.  At position p the options are, in order:
+    # close open_[k] for k = 0, 1, .. while that chord's gap reaches G, then
+    # open the next label.  ``taken[p]`` is the option taken at p: the
+    # index k in open_ of the chord closed there (``word[p]``), or -1 for
+    # an opening.  Backtracking undoes one position and resumes there with
+    # the next option.
+    taken = [0] * m
+    p = gap + 1
+    fresh = gap
+    k = 0  # the next option to try at p
+    while True:
+        if p < m:
+            oldest = p - start[open_[0]] if open_ else 0
+            if oldest <= far:
+                if k < len(open_) and p - start[open_[k]] >= gap:
+                    c = open_.pop(k)
+                    word[p] = c
+                    end[c] = p
+                    taken[p] = k
+                    p += 1
+                    k = 0
+                    continue
+                if oldest < far and fresh < n:  # the oldest chord may stay open
+                    word[p] = fresh
+                    start[fresh] = p
+                    open_.append(fresh)
+                    fresh += 1
+                    taken[p] = -1
+                    p += 1
+                    k = 0
+                    continue
+        elif not beaten():
+            yield tuple(word)
+        while True:  # back to the last position with an option left
+            p -= 1
+            if p == gap:
                 return
-            for k in range(len(open_)):
-                c = open_[k]
-                if p - start[c] < gap:
-                    break
-                word[p] = c
-                end[c] = p
-                del open_[k]
-                yield from fill(p + 1, fresh)
-                open_.insert(k, c)
-            if oldest == far:  # the oldest chord had to close here
-                return
-        if fresh < n:
-            word[p] = fresh
-            start[fresh] = p
-            open_.append(fresh)
-            yield from fill(p + 1, fresh + 1)
+            k = taken[p]
+            if k >= 0:
+                open_.insert(k, word[p])
+                k += 1
+                break
             open_.pop()
-
-    yield from fill(gap + 1, gap)
+            fresh -= 1
 
 
 def _orderly_keys(n: int, least_gap: int = 1) -> Iterator[tuple[int, ...]]:
@@ -266,26 +287,62 @@ class SweepReport:
 _SWEEP_CHUNK = 256
 
 
+def _key_pass(key: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The endpoints and crossing rows of a canonical key's diagram.
+
+    A key numbers its chords by first occurrence, so it is its own
+    ``position_chord``, and a chord occurs first exactly when its number
+    is the next fresh one.  ``seen`` is the XOR of ``1 << c`` over the
+    positions read so far: a chord's row is ``seen`` just after its first
+    end XOR ``seen`` just before its second, the chords with one end
+    strictly between, as in ``core.interlacement``.
+    """
+    n = len(key) >> 1
+    starts = [0] * n
+    endpoints: list[tuple[int, int]] = [(0, 0)] * n
+    rows = [0] * n
+    seen = 0
+    fresh = 0
+    for q, c in enumerate(key):
+        if c == fresh:
+            fresh += 1
+            starts[c] = q
+            seen ^= 1 << c
+            rows[c] = seen
+        else:
+            endpoints[c] = (starts[c], q)
+            rows[c] ^= seen
+            seen ^= 1 << c
+    return endpoints, rows
+
+
 def _sweep_item(
     key: tuple[int, ...], require_non_isolated: bool = False
 ) -> tuple[int, bool, Disagreement | None] | None:
     """Chord count and criterion verdict of one key's diagram, and any split.
 
-    The diagram is built here, where the item runs, so only keys travel
-    to worker processes.  With ``require_non_isolated`` a diagram with a
-    kink gives None.  Only a split needs the criterion's labelled report,
-    so only a split builds it.
+    The item runs where it is decided, in a worker process if asked, so
+    only keys travel.  ``_key_pass`` reads the endpoints and crossing rows
+    off the key, and the key is the diagram's ``position_chord``; the
+    criterion decides on these and the oracle searches the endpoints, so
+    most keys build no ``ChordDiagram``.  With ``require_non_isolated`` a
+    diagram with a kink gives None.  A labelled diagram is built only for
+    a spherical mask, which ``spherical_witness`` retraces in pure Python,
+    and for a split, which carries ``is_realizable``'s labelled report.
     """
-    diagram = CanonicalForm(key).diagram()
-    rows = interlacement(diagram).rows
+    endpoints, rows = _key_pass(key)
     if require_non_isolated and not all(rows):
         return None
-    realizable = _decide(diagram, rows) is None
-    witness = oracle_realizable(diagram)
+    n = len(rows)
+    realizable = _decide(key, endpoints, rows) is None
+    mask = planar_mask(list(itertools.chain.from_iterable(endpoints)), n)
+    if mask < 0 and not realizable:
+        return n, False, None
+    diagram = CanonicalForm(key).diagram()  # labels for the retrace or the split
+    witness = None if mask < 0 else spherical_witness(diagram, mask)
     if realizable == (witness is not None):
-        return diagram.n, realizable, None
-    split = Disagreement(diagram.word, is_realizable(diagram), witness)
-    return diagram.n, realizable, split
+        return n, realizable, None
+    return n, realizable, Disagreement(diagram.word, is_realizable(diagram), witness)
 
 
 def cross_validate(cfg: SweepConfig) -> SweepReport:

@@ -227,29 +227,47 @@ def witness_for_mask(diagram: ChordDiagram, mask: int) -> EmbeddingWitness:
     )
 
 
-def oracle_realizable(diagram: ChordDiagram) -> EmbeddingWitness | None:
-    """Search all rotation systems; return the least spherical one, if any.
+def planar_mask(endpoints_flat, n: int) -> int:
+    """The least spherical mask of the diagram with these endpoints, or -1.
 
-    Flipping every bit of a crossing-graph component keeps the face
-    count, so the search fixes one bit per component (see the module
-    docstring).  The empty diagram is the simple closed curve and gets
-    a trivial witness.  The witness faces are retraced in pure Python even when the
-    mask search ran compiled, so a kernel fault cannot fake a witness.
+    ``endpoints_flat`` lists each chord's two circle positions in chord
+    order, as the kernels take them; n >= 1.  Diagrams of more than
+    ``MAX_ORACLE_CHORDS`` chords are refused.  The mask comes from the
+    kernel alone: ``spherical_witness`` retraces it.
     """
-    if diagram.n == 0:
-        return EmbeddingWitness(rotation=RotationSystem(()), faces=(), euler=2)
-    if diagram.n > MAX_ORACLE_CHORDS:
+    if n > MAX_ORACLE_CHORDS:
         raise OracleBudgetExceeded(
             "rotation search over 2**%d assignments refused (limit n <= %d)"
-            % (diagram.n, MAX_ORACLE_CHORDS)
+            % (n, MAX_ORACLE_CHORDS)
         )
-    flat = _endpoints_flat(diagram)
-    mask = _kernels.find_planar_rotation(flat, diagram.n)
-    if mask < 0:
-        return None
+    return _kernels.find_planar_rotation(endpoints_flat, n)
+
+
+def spherical_witness(diagram: ChordDiagram, mask: int) -> EmbeddingWitness:
+    """The witness of a mask ``planar_mask`` found, retraced in plain Python.
+
+    The faces are retraced even when the search ran compiled, so a kernel
+    fault cannot fake a witness: a mask that does not retrace to Euler
+    characteristic 2 raises.
+    """
     witness = witness_for_mask(diagram, mask)
     if witness.euler != 2:  # kernel / tracer disagreement: must never happen
         raise AssertionError(
             "planar mask %d retraced to euler %d" % (mask, witness.euler)
         )
     return witness
+
+
+def oracle_realizable(diagram: ChordDiagram) -> EmbeddingWitness | None:
+    """Search all rotation systems; return the least spherical one, if any.
+
+    Flipping every bit of a crossing-graph component keeps the face
+    count, so the search fixes one bit per component (see the module
+    docstring).  The empty diagram is the simple closed curve and gets
+    a trivial witness.  Otherwise this is ``planar_mask`` on the
+    diagram's endpoints and, for a mask, ``spherical_witness``.
+    """
+    if diagram.n == 0:
+        return EmbeddingWitness(rotation=RotationSystem(()), faces=(), euler=2)
+    mask = planar_mask(_endpoints_flat(diagram), diagram.n)
+    return None if mask < 0 else spherical_witness(diagram, mask)

@@ -167,7 +167,7 @@ def _even_report(diagram: ChordDiagram, rows) -> EvenConditionReport:
 
     chord_violations = []
     pair_violations = []
-    squares = _square_rows(diagram, rows)
+    squares = _square_rows(diagram.position_chord, diagram.endpoints, rows)
     for i, a in enumerate(order):
         row = rows[a]
         odd = squares[a] & ~row
@@ -267,30 +267,35 @@ class RealizabilityReport:
         }
 
 
-def _square_rows(diagram: ChordDiagram, rows) -> list[int]:
-    """The rows of S = A² for the diagram's crossing ``rows``.
+def _square_rows(position_chord, endpoints, rows) -> list[int]:
+    """The rows of S = A² for the crossing ``rows`` of a diagram.
 
-    Row a of S is the XOR of the rows of the chords crossing a, which is
-    the XOR of the rows at the positions strictly between a's endpoints,
-    since a chord with both endpoints there cancels.  ``prefix[i]`` is the
-    XOR over the positions before i, so every row takes one XOR of two
-    prefixes, 3n XORs in all.
+    ``position_chord`` and ``endpoints`` are the diagram's: the chord at
+    each circle position, and each chord's two positions.  Row a of S is
+    the XOR of the rows of the chords crossing a, which is the XOR of the
+    rows at the positions strictly between a's endpoints, since a chord
+    with both endpoints there cancels.  ``prefix[i]`` is the XOR over the
+    positions before i, so every row takes one XOR of two prefixes, 3n
+    XORs in all.
     """
     prefix = [0]
-    for c in diagram.position_chord:
+    for c in position_chord:
         prefix.append(prefix[-1] ^ rows[c])
-    return [prefix[q] ^ prefix[p + 1] for p, q in diagram.endpoints]
+    return [prefix[q] ^ prefix[p + 1] for p, q in endpoints]
 
 
-def _decide(diagram: ChordDiagram, rows) -> int | None:
-    """The first check that fails on the diagram, or None if all hold.
+def _decide(position_chord, endpoints, rows) -> int | None:
+    """The first check that fails on a diagram, or None if all hold.
 
-    ``rows`` are the diagram's crossing rows.  -1 names the even condition
-    on the diagram itself, and c >= 0 the smoothing of chord c.  A bit of
-    S = A² outside A fails the even condition: first the diagonal, a chord
-    crossing an odd number of chords, which most failing diagrams show at
-    once, then the rows of S from ``_square_rows``, as in
-    ``even_condition``.  Otherwise each chord keeps the partners with
+    The diagram is given as ``_square_rows`` takes it: its
+    ``position_chord``, its ``endpoints`` and its crossing ``rows``.  The
+    sweep reads all three off a canonical key and builds no
+    ``ChordDiagram``; ``is_realizable`` passes a diagram's.  -1 names the
+    even condition on the diagram itself, and c >= 0 the smoothing of
+    chord c.  A bit of S = A² outside A fails the even condition: first
+    the diagonal, a chord crossing an odd number of chords, which most
+    failing diagrams show at once, then the rows of S from
+    ``_square_rows``, as in ``even_condition``.  Otherwise each chord keeps the partners with
     which it shares an even number of chords.  If ``_cocycle`` finds an h,
     every triangle is odd (module docstring), so every smoothing holds,
     at the cost of O(n) row operations.  If not, each smoothing is
@@ -304,7 +309,7 @@ def _decide(diagram: ChordDiagram, rows) -> int | None:
         if row.bit_count() & 1:  # S[a][a] = 1 lies outside A
             return -1
     evens = []
-    for row, square in zip(rows, _square_rows(diagram, rows)):
+    for row, square in zip(rows, _square_rows(position_chord, endpoints, rows)):
         if square & ~row:
             return -1
         evens.append(row & ~square)
@@ -399,7 +404,7 @@ def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     there are no kinks, the diagram's own rows serve.
     """
     rows = interlacement(diagram).rows
-    failed = _decide(diagram, rows)
+    failed = _decide(diagram.position_chord, diagram.endpoints, rows)
     reduced = _drop_kinks(diagram, rows)
     witness: EvenConditionViolation | SmoothingViolation | None = None
     if failed == -1:

@@ -127,7 +127,8 @@ def _triangle_only_decide(diagram, rows) -> int | None:
         if row.bit_count() & 1:
             return -1
     evens = []
-    for row, square in zip(rows, _square_rows(diagram, rows)):
+    squares = _square_rows(diagram.position_chord, diagram.endpoints, rows)
+    for row, square in zip(rows, squares):
         if square & ~row:
             return -1
         evens.append(row & ~square)
@@ -153,7 +154,8 @@ def _assert_triangle_rule_matches_the_toggle(diagram) -> None:
             assert _triangles_odd(rows, evens, c, rows[c]) == expected, (context, c)
     failed = (c for c, even in enumerate(smoothings) if rows[c] and not even)
     expected = next(failed, None) if base else -1
-    assert _decide(diagram, rows) == expected, context
+    decided = _decide(diagram.position_chord, diagram.endpoints, rows)
+    assert decided == expected, context
     assert _triangle_only_decide(diagram, rows) == expected, context
 
 
@@ -323,7 +325,7 @@ def test_interlacement_rows_match_the_pairwise_definition(tokens):
 def test_prefix_xor_squares_match_the_pairwise_squares(tokens):
     d = diagram_from_word(" ".join(tokens))
     rows = interlacement(d).rows
-    assert _square_rows(d, rows) == _squares(rows)
+    assert _square_rows(d.position_chord, d.endpoints, rows) == _squares(rows)
 
 
 def test_bitset_even_condition_matches_the_labelled_one(canonical_by_n):
@@ -360,7 +362,7 @@ def test_every_smoothing_failure_with_eight_chords():
     for word in words:
         d = diagram_from_word(word)
         rows = interlacement(d).rows
-        assert _decide(d, rows) not in (None, -1), word
+        assert _decide(d.position_chord, d.endpoints, rows) not in (None, -1), word
         _assert_triangle_rule_matches_the_toggle(d)
         _assert_same_report(d)
         assert oracle_realizable(d) is None, word
@@ -385,7 +387,7 @@ def test_triangle_rule_matches_the_toggle_on_polygon_words(monkeypatch):
     for n, words in polygon_words(random.Random(11), range(10, 61), 1).items():
         d = diagram_from_word(" ".join(words[0]))
         rows = interlacement(d).rows
-        assert _decide(d, rows) is None, n
+        assert _decide(d.position_chord, d.endpoints, rows) is None, n
         _assert_triangle_rule_matches_the_toggle(d)
         evens = _evens(rows)
         h = _cocycle(rows, evens)
@@ -399,7 +401,7 @@ def test_paper_checks_accept_a_non_plane_diagram_with_nine_chords():
     for c, label in enumerate(d.labels):
         assert _even(toggle_rows(rows, c)), label
         assert even_condition(smooth_by_word(d, label).diagram).holds, label
-    assert _decide(d, rows) is None
+    assert _decide(d.position_chord, d.endpoints, rows) is None
     assert _triangle_only_decide(d, rows) is None
     assert _cocycle(rows, _evens(rows)) is None
     assert not _brute_cocycle(rows, _evens(rows))
@@ -504,4 +506,5 @@ def test_decide_matches_the_triangle_loop_on_nested_relabelled_kinked_words(
         tokens[j:j] = ["kink%d" % kink] * 2
     d = diagram_from_word(" ".join(tokens))
     rows = interlacement(d).rows
-    assert _decide(d, rows) == _triangle_only_decide(d, rows), d.word.text()
+    decided = _decide(d.position_chord, d.endpoints, rows)
+    assert decided == _triangle_only_decide(d, rows), d.word.text()

@@ -27,6 +27,7 @@ from gaussreal import (
 )
 from gaussreal.codec import document_to_json
 from gaussreal.core import MalformedWord
+from gaussreal.realizability import _decide
 
 # Diagrams per chord count, counted up to rotation and reflection.
 CANONICAL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 17, 5: 79, 6: 554, 7: 5283, 8: 65346}
@@ -193,6 +194,32 @@ def test_sweep_items_drop_kinked_diagrams_only_when_asked():
         assert (enumeration._sweep_item(key, True) is None) == kinked, key
 
 
+def _reference_item(diagram, require_non_isolated):
+    """``_sweep_item`` spelled out on the labelled diagram of its key."""
+    rows = interlacement(diagram).rows
+    if require_non_isolated and not all(rows):
+        return None
+    realizable = _decide(diagram.position_chord, diagram.endpoints, rows) is None
+    witness = oracle_realizable(diagram)
+    if realizable == (witness is not None):
+        return diagram.n, realizable, None
+    split = Disagreement(diagram.word, is_realizable(diagram), witness)
+    return diagram.n, realizable, split
+
+
+def test_key_pass_and_sweep_items_match_the_labelled_diagram():
+    for n in range(1, 8):
+        for key in enumeration._orderly_keys(n):
+            diagram = CanonicalForm(key=key).diagram()
+            endpoints, rows = enumeration._key_pass(key)
+            assert tuple(endpoints) == diagram.endpoints, key
+            assert tuple(rows) == interlacement(diagram).rows, key
+            for require_non_isolated in (False, True):
+                assert enumeration._sweep_item(
+                    key, require_non_isolated
+                ) == _reference_item(diagram, require_non_isolated), key
+
+
 def test_map_draws_items_only_as_results_are_taken():
     drawn = []
 
@@ -224,7 +251,7 @@ def test_parallel_sweep_document_matches_serial(require_non_isolated):
 
 def test_disagreements_are_recorded_alike_by_one_and_two_workers(monkeypatch):
     # Worker processes are forked, so they see the patched oracle too.
-    monkeypatch.setattr(enumeration, "oracle_realizable", lambda diagram: None)
+    monkeypatch.setattr(enumeration, "planar_mask", lambda flat, n: -1)
     reports = [cross_validate(SweepConfig(max_chords=5, workers=w)) for w in (1, 2)]
     for report in reports:
         realizable = sum(row.realizable for row in report.rows)
@@ -240,7 +267,8 @@ def test_non_realizable_splits_carry_the_labelled_report(monkeypatch):
     # The sweep decides without labels; a split must still carry the full
     # report, witness included, that is_realizable gives the diagram.
     kink = oracle_realizable(diagram_from_word("1 1"))
-    monkeypatch.setattr(enumeration, "oracle_realizable", lambda diagram: kink)
+    monkeypatch.setattr(enumeration, "planar_mask", lambda flat, n: 0)
+    monkeypatch.setattr(enumeration, "spherical_witness", lambda diagram, mask: kink)
     reports = [cross_validate(SweepConfig(max_chords=5, workers=w)) for w in (1, 2)]
     for report in reports:
         non_realizable = sum(row.non_realizable for row in report.rows)
