@@ -1,10 +1,12 @@
 """Time the hot loops: the enumerator per level, and the rotation search.
 
 * ``canonical_keys`` for every chord count up to the given size,
-  ``CanonicalForm(key).diagram()`` over that level's keys, and the
-  sweep's per-key work, ``_sweep_item`` over the same keys.  The
-  enumerator and the key-to-diagram step are pure Python on both
-  backends; ``_sweep_item`` searches with the selected backend.
+  ``CanonicalForm(key).diagram()`` over that level's keys, the sweep's
+  per-key work, ``_sweep_item`` over the same keys, and the sweep's
+  tasks, ``_sweep_shard`` over the level's shards, which generate their
+  keys and decide them.  The enumerator and the key-to-diagram step are
+  pure Python on both backends; the sweep searches with the selected
+  backend.
 * ``find_planar_rotation`` over every canonical diagram of that size,
   called as the embedding oracle calls it; this depth-first,
   genus-pruned search is the inner loop of the oracle.  Both
@@ -30,7 +32,7 @@ from gaussreal import (
     canonical_keys,
     enumerate_canonical,
 )
-from gaussreal.enumeration import _sweep_item
+from gaussreal.enumeration import _shards, _sweep_item, _sweep_shard
 from gaussreal.oracle import _endpoints_flat
 
 try:
@@ -77,8 +79,8 @@ def main() -> None:
         parser.error("--max-chords must be at least 1")
 
     print(
-        "canonical_keys, key -> diagram, then _sweep_item (%s search), per level:"
-        % KERNEL_BACKEND
+        "canonical_keys, key -> diagram, _sweep_item, then the shards"
+        " (%s search), per level:" % KERNEL_BACKEND
     )
     for level in range(1, n + 1):
         seconds, keys = _time(lambda: canonical_keys(level), args.repeat)
@@ -86,9 +88,15 @@ def main() -> None:
             lambda: [CanonicalForm(key).diagram() for key in keys], args.repeat
         )
         swept, _ = _time(lambda: [_sweep_item(key) for key in keys], args.repeat)
+        shards = list(_shards(level))
+        sharded, counts = _time(
+            lambda: [_sweep_shard(shard) for shard in shards], args.repeat
+        )
+        if sum(count[1] for count in counts) != len(keys):
+            raise SystemExit("the shards of n=%d miss keys" % level)
         print(
-            "  n=%-6d %8.3fs %8.3fs %8.3fs  %d keys"
-            % (level, seconds, built, swept, len(keys))
+            "  n=%-6d %8.3fs %8.3fs %8.3fs %8.3fs  %d keys, %d shards"
+            % (level, seconds, built, swept, sharded, len(keys), len(shards))
         )
 
     diagrams = list(enumerate_canonical(n))

@@ -30,7 +30,7 @@ canonical_key = _pure.canonical_key
 find_planar_rotation = _impl.find_planar_rotation
 
 
-def _map(fn, items, workers: int, chunksize: int = 1):
+def _map(fn, items, workers: int):
     """``map(fn, items)``, in ``workers`` processes if more than one.
 
     Results come in item order and stream: neither the items nor the
@@ -41,6 +41,6 @@ def _map(fn, items, workers: int, chunksize: int = 1):
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            yield from pool.imap(fn, items, chunksize)
+            yield from pool.imap(fn, items)
     else:
         yield from map(fn, items)

@@ -74,6 +74,15 @@ Dart/rotation conventions (shared with gaussreal.oracle):
   same way.  The test walks the face through the corner at one dart of
   the edge.  If that face misses the corner at the other dart, the edge
   joins two faces, and the node is pruned.
+- The leaf rule.  When a chord has no loop, below the rank of its first
+  face test it has one edge, the one that attached it: it is a leaf of
+  that sub-map.  A leaf has a single corner, and a face walk passes its
+  vertex in by that edge and out by it again, whichever order the bit
+  gives its darts.  So the first test gives the same answer under both
+  bits: bit 1 skips it after a pass under bit 0, and is not tried after
+  a failure.  Only failing nodes go, so the mask is the same; over the
+  canonical diagrams with n <= 7 the search visits 84,069 nodes instead
+  of 104,377.
 - The pure search builds each depth when it first reaches it: the chord
   that joins there, its darts and successors, its edge ranks and face
   tests, its weight updates and, if it starts a component, that
@@ -154,7 +163,8 @@ def find_planar_rotation(endpoints_flat, n) -> int:
     # edges from c into the joined chords; a joined chord gets -5, which
     # its four edge ends cannot lift to 0.  plan[k] holds the chord at
     # depth k: its darts reversed, the successors they take under bit 0
-    # and under bit 1, and its face tests (see the conventions above).
+    # and under bit 1, its face tests under bit 0 and under bit 1, and the
+    # dart of its leaf test, or -1 (see the conventions above).
     # It is built when the search first reaches depth k, and until then
     # the darts of the edges that join there rank 4n, above every test.
     order = []
@@ -207,6 +217,9 @@ def find_planar_rotation(endpoints_flat, n) -> int:
                 if y != c and attached:
                     tests.append((out_s, ranked))
                 ranked += 1
+            # Without a loop, c is a leaf below its first test, which bit 1
+            # then skips (see the conventions above).
+            lead = tests[0][0] if tests and c not in (a, b, x, y) else -1
             weight[a] += 1
             weight[b] += 1
             weight[x] += 1
@@ -220,6 +233,8 @@ def find_planar_rotation(endpoints_flat, n) -> int:
                     (in_s, out_f, out_s, in_f),
                     (out_s, in_f, in_s, out_f),
                     tests,
+                    tests[1:] if lead >= 0 else tests,
+                    lead,
                 )
             )
             # The first chord of a crossing-graph component to join tries
@@ -237,8 +252,12 @@ def find_planar_rotation(endpoints_flat, n) -> int:
                 seen |= component
                 components.append(component)
             built += 1
-        p, q, u, v, zero, one, tests = plan[k]
-        nxt[p], nxt[q], nxt[u], nxt[v] = one if bit else zero
+        p, q, u, v, zero, one, tests, tests_one, lead = plan[k]
+        if bit:
+            nxt[p], nxt[q], nxt[u], nxt[v] = one
+            tests = tests_one
+        else:
+            nxt[p], nxt[q], nxt[u], nxt[v] = zero
         for t, r in tests:
             # a and b follow t and t ^ 1 around their vertices in the
             # sub-map of the darts ranked below r; their faces pass
@@ -270,7 +289,10 @@ def find_planar_rotation(endpoints_flat, n) -> int:
                 if mask >> (component.bit_length() - 1) & 1:
                     mask ^= component
             return mask
-        # Bit 1 is next unless it was tried or the depth is fixed.
+        # Bit 1 is next unless it was tried, the depth is fixed or bit 0
+        # failed the leaf test, which bit 1 would fail too.
+        if t == lead:
+            bit = 1
         while bit or fixed >> k & 1:
             k -= 1
             if k < 0:

@@ -9,6 +9,9 @@
  * face test.  The first chord of each crossing-graph component to join
  * tries bit 0 only, and the first spherical leaf is normalised to the
  * least mask by flipping each component whose top chord has bit 1.
+ * By the leaf rule, a chord without a loop is a leaf of the sub-map below
+ * its first face test, so that test does not depend on its bit: bit 1
+ * skips it after bit 0 passed it and is not tried after bit 0 failed it.
  *
  * Inputs are small Python sequences of ints.  Each is range-checked and
  * copied once into a C array, so no index read from Python can reach past
@@ -72,10 +75,12 @@ planar_search(const int *ends, int n)
     int order[MAX_CHORDS], weight[MAX_CHORDS];
     /* By join depth k: the chord's darts reversed at 4k .. 4k + 3, the
      * successors they take under bit 0 and under bit 1, and its face
-     * tests, as edge dart and rank, from from[k] to to[k] - 1. */
+     * tests, as edge dart and rank, from from[k] to to[k] - 1.  leaf[k]
+     * is 1 when the chord has no loop and a test: its first test is then
+     * the same under both bits (see gaussreal._pure). */
     int slot[4 * MAX_CHORDS], succ[2][4 * MAX_CHORDS];
     int test_dart[2 * MAX_CHORDS], test_rank[2 * MAX_CHORDS];
-    int from[MAX_CHORDS], to[MAX_CHORDS];
+    int from[MAX_CHORDS], to[MAX_CHORDS], leaf[MAX_CHORDS];
     /* prefix[p] is the XOR of 1 << chord over the positions before p, so
      * crossing[c] holds c and the chords that cross it.  The crossing-graph
      * components are chord masks; the depths in fixed try bit 0 only. */
@@ -111,10 +116,11 @@ planar_search(const int *ends, int n)
         int edge[4] = {fp, f, sp, s};
         int other[4] = {chord_at[fp], chord_at[(f + 1) % m], chord_at[sp],
                         chord_at[(s + 1) % m]};
-        int attached = 0;
+        int attached = 0, loop = 0;
         from[k] = tests;
         for (int j = 0; j < 4; j++) {
             int i = edge[j], v = other[j];
+            loop |= v == c;
             if (weight[v] >= 0)
                 continue;
             rank[2 * i] = rank[2 * i + 1] = r;
@@ -128,6 +134,7 @@ planar_search(const int *ends, int n)
             r++;
         }
         to[k] = tests;
+        leaf[k] = !loop && tests > from[k];
         for (int j = 0; j < 4; j++)
             weight[other[j]]++;
         if (!((seen >> c) & 1)) {
@@ -155,10 +162,11 @@ planar_search(const int *ends, int n)
     for (;;) {
         const int *p = slot + 4 * k, *v = succ[bit] + 4 * k;
         nxt[p[0]] = v[0]; nxt[p[1]] = v[1]; nxt[p[2]] = v[2]; nxt[p[3]] = v[3];
-        int ok = 1;
-        for (int j = from[k]; ok && j < to[k]; j++)
-            ok = same_face(nxt, rank, test_dart[j], test_rank[j]);
-        if (ok) {
+        /* Bit 1 skips a leaf's first test, which bit 0 passed. */
+        int j = from[k] + (bit & leaf[k]);
+        while (j < to[k] && same_face(nxt, rank, test_dart[j], test_rank[j]))
+            j++;
+        if (j == to[k]) {
             mask |= (unsigned long long)bit << order[k];
             if (k < n - 1) {
                 k++;
@@ -172,7 +180,10 @@ planar_search(const int *ends, int n)
                     mask ^= component[j];
             return (long long)mask;
         }
-        /* Bit 1 is next unless it was tried or the depth is fixed. */
+        /* Bit 1 is next unless it was tried, the depth is fixed or bit 0
+         * failed the leaf test, which bit 1 would fail too. */
+        if (leaf[k] && j == from[k])
+            bit = 1;
         while (bit || ((fixed >> k) & 1)) {
             if (--k < 0)
                 return -1;

@@ -31,14 +31,24 @@ relabelled only up to its first difference from the word.
 ``cross_validate`` then plays the two independent deciders against each
 other — the even-condition criterion of ``gaussreal.realizability`` and
 the rotation-system search of ``gaussreal.oracle`` — over every canonical
-diagram up to a chord bound.  Canonical keys stream from the calling
-process, n = 1 first, through one ``_kernels._map``.  Each key is decided
-where it runs, in a worker process if asked, so only keys and verdicts
-cross between processes; only counts and disagreements are kept.  A key
-is its diagram's ``position_chord``, and one pass over it gives the
-endpoints, which the oracle searches, and the crossing rows, which the
-criterion decides on.  So a key builds a labelled ``ChordDiagram`` only
-for the pure-Python retrace of a spherical mask and for a disagreement.
+diagram up to a chord bound.  Its unit of work is a shard: one slice of
+one level's key tree, given by n, the least gap G and, for G = 1 and
+G = 2, which hold most keys, the head: the symbols at the first
+``_SHARD_HEAD`` free positions.  A larger G, or a level too small for a
+head, is one shard; n <= 7 makes 61 shards and n <= 9 makes 94.  Read
+in order, the shards' keys are the level's key stream.  The shards,
+n = 1 first, go through one ``_kernels._map``, and each generates its
+own keys, continuing the fill from its head, where it runs: in a worker
+process if asked.  So no process waits on another's key generation, and
+only shards and counts cross between processes; the counts and
+disagreements are added up in shard order, which keeps the document
+byte-identical for any number of workers.  A shard generates ``_SWEEP_CHUNK`` keys at a time before it
+decides them, since alternating one generated key with one decision
+costs about 3 µs more per key in pure Python.  A key is its diagram's
+``position_chord``, and one pass over it gives the endpoints, which the
+oracle searches, and the crossing rows, which the criterion decides on.
+So a key builds a labelled ``ChordDiagram`` only for the pure-Python
+retrace of a spherical mask and for a disagreement.
 Disagreements are not errors of the harness; they are its most important
 output and are recorded with both witnesses and written out as
 re-runnable batch lines.
@@ -64,8 +74,17 @@ from .oracle import oracle_realizable  # noqa: F401  -- wrapped by perfbench/spa
 from .realizability import RealizabilityReport, _decide, is_realizable
 
 
-def _keys_with_gap(n: int, gap: int) -> Iterator[tuple[int, ...]]:
-    """Ascending canonical keys of n-chord diagrams whose least chord gap is ``gap``."""
+def _keys_with_gap(
+    n: int, gap: int, head: tuple[int, ...] = (), cut: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Ascending canonical keys of n-chord diagrams whose least chord gap is ``gap``.
+
+    Only keys whose free positions, from ``gap + 1`` on, begin with
+    ``head`` come; ``head`` must be one that ``cut`` yields.  With a
+    ``cut`` below 2n, the fill stops there and yields instead, in
+    ascending order, each head that reaches it: the symbols at the free
+    positions before ``cut``.  Some heads lead to no key.
+    """
     m = 2 * n
     far = m - gap
     word = [0] * m
@@ -75,6 +94,18 @@ def _keys_with_gap(n: int, gap: int) -> Iterator[tuple[int, ...]]:
         word[c] = start[c] = c
     end[0] = gap
     open_ = list(range(1, gap))  # labels with one occurrence so far, ascending
+    fresh = gap
+    for p, c in enumerate(head, gap + 1):
+        word[p] = c
+        if c == fresh:
+            start[c] = p
+            open_.append(c)
+            fresh += 1
+        else:
+            end[c] = p
+            open_.remove(c)
+    base = gap + len(head)  # the last fixed position
+    stop = cut or m
 
     def below(first: int, step: int) -> bool:
         """Whether reading from ``first`` by ``step`` relabels below the word."""
@@ -113,11 +144,10 @@ def _keys_with_gap(n: int, gap: int) -> Iterator[tuple[int, ...]]:
     # an opening.  Backtracking undoes one position and resumes there with
     # the next option.
     taken = [0] * m
-    p = gap + 1
-    fresh = gap
+    p = base + 1
     k = 0  # the next option to try at p
     while True:
-        if p < m:
+        if p < stop:
             oldest = p - start[open_[0]] if open_ else 0
             if oldest <= far:
                 if k < len(open_) and p - start[open_[k]] >= gap:
@@ -137,11 +167,13 @@ def _keys_with_gap(n: int, gap: int) -> Iterator[tuple[int, ...]]:
                     p += 1
                     k = 0
                     continue
+        elif cut:
+            yield tuple(word[gap + 1 : cut])
         elif not beaten():
             yield tuple(word)
         while True:  # back to the last position with an option left
             p -= 1
-            if p == gap:
+            if p == base:
                 return
             k = taken[p]
             if k >= 0:
@@ -240,7 +272,10 @@ class SweepReport:
     max_chords: int
     require_non_isolated: bool
     rows: tuple[SweepRow, ...]
-    wall_time: float  # seconds; deliberately absent from document()
+    # How the run went, for the summary only; deliberately absent from
+    # document(), so that documents stay byte-identical across runs.
+    wall_time: float  # seconds
+    workers: int = 1
 
     @property
     def disagreements(self) -> tuple[Disagreement, ...]:
@@ -273,18 +308,23 @@ class SweepReport:
                 )
             )
         lines.append(
-            "total: %d diagrams, %d disagreements, %.1fs"
+            "total: %d diagrams, %d disagreements, %.1fs, %s backend, %d worker%s"
             % (
                 sum(row.total for row in self.rows),
                 len(self.disagreements),
                 self.wall_time,
+                _kernels.BACKEND,
+                self.workers,
+                "" if self.workers == 1 else "s",
             )
         )
         return lines
 
 
-# Sweep items per worker task: one key is too little work to ship alone.
+# Keys a shard generates before it decides them (see the module docstring).
 _SWEEP_CHUNK = 256
+# Free positions that the head of a gap-1 or gap-2 shard fixes.
+_SHARD_HEAD = 3
 
 
 def _key_pass(key: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -321,8 +361,8 @@ def _sweep_item(
 ) -> tuple[int, bool, Disagreement | None] | None:
     """Chord count and criterion verdict of one key's diagram, and any split.
 
-    The item runs where it is decided, in a worker process if asked, so
-    only keys travel.  ``_key_pass`` reads the endpoints and crossing rows
+    The shard that generates the key decides it, in a worker process if
+    asked.  ``_key_pass`` reads the endpoints and crossing rows
     off the key, and the key is the diagram's ``position_chord``; the
     criterion decides on these and the oracle searches the endpoints, so
     most keys build no ``ChordDiagram``.  With ``require_non_isolated`` a
@@ -345,30 +385,69 @@ def _sweep_item(
     return n, realizable, Disagreement(diagram.word, is_realizable(diagram), witness)
 
 
+def _shards(n: int, least_gap: int = 1) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The shards of level n whose least gap is at least ``least_gap``.
+
+    A shard is ``(n, gap, head)``: the keys of ``_keys_with_gap(n, gap,
+    head)``.  Gaps 1 and 2 hold most keys, so each of their heads of
+    ``_SHARD_HEAD`` free positions is a shard; a larger gap is one shard.
+    In this order their keys are ``_orderly_keys(n, least_gap)``.
+    """
+    for gap in range(least_gap, n + 1):
+        cut = gap + 1 + _SHARD_HEAD
+        if gap > 2 or cut >= 2 * n:
+            yield n, gap, ()
+        else:
+            for head in _keys_with_gap(n, gap, cut=cut):
+                yield n, gap, head
+
+
+def _sweep_shard(
+    shard: tuple[int, int, tuple[int, ...]], require_non_isolated: bool = False
+) -> tuple[int, int, int, list[Disagreement]]:
+    """``(n, total, realizable, splits)`` over the keys of one shard.
+
+    The shard generates its keys where it runs and decides them with
+    ``_sweep_item`` in batches of ``_SWEEP_CHUNK``.
+    """
+    n, gap, head = shard
+    total = realizable = 0
+    splits = []
+    keys = _keys_with_gap(n, gap, head)
+    while batch := list(itertools.islice(keys, _SWEEP_CHUNK)):
+        for key in batch:
+            result = _sweep_item(key, require_non_isolated)
+            if result is None:
+                continue
+            _, verdict, split = result
+            total += 1
+            realizable += verdict
+            if split is not None:
+                splits.append(split)
+    return n, total, realizable, splits
+
+
 def cross_validate(cfg: SweepConfig) -> SweepReport:
     """Run both deciders over every canonical diagram with n <= max_chords.
 
-    One stream of keys, n = 1 first, goes through one ``_kernels._map``.
+    The shards, n = 1 first, go through one ``_kernels._map``, and their
+    counts are added up in shard order.
     """
     start = time.perf_counter()
     least_gap = 2 if cfg.require_non_isolated else 1
-    keys = itertools.chain.from_iterable(
-        _orderly_keys(n, least_gap) for n in range(1, cfg.max_chords + 1)
+    shards = itertools.chain.from_iterable(
+        _shards(n, least_gap) for n in range(1, cfg.max_chords + 1)
     )
-    item = functools.partial(
-        _sweep_item, require_non_isolated=cfg.require_non_isolated
+    task = functools.partial(
+        _sweep_shard, require_non_isolated=cfg.require_non_isolated
     )
     total = [0] * (cfg.max_chords + 1)  # indexed by n
     realizable = [0] * (cfg.max_chords + 1)
     disagreements: list[list[Disagreement]] = [[] for _ in total]
-    for result in _kernels._map(item, keys, cfg.workers, _SWEEP_CHUNK):
-        if result is None:
-            continue
-        n, verdict, split = result
-        total[n] += 1
-        realizable[n] += verdict
-        if split is not None:
-            disagreements[n].append(split)
+    for n, count, verdicts, splits in _kernels._map(task, shards, cfg.workers):
+        total[n] += count
+        realizable[n] += verdicts
+        disagreements[n].extend(splits)
     rows = tuple(
         SweepRow(
             n=n,
@@ -384,6 +463,7 @@ def cross_validate(cfg: SweepConfig) -> SweepReport:
         require_non_isolated=cfg.require_non_isolated,
         rows=rows,
         wall_time=time.perf_counter() - start,
+        workers=cfg.workers,
     )
 
 

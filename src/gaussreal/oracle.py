@@ -72,13 +72,23 @@ face count, but it might not be the least; the tests compare it with a
 scan of all 2**n masks.  gaussreal._pure spells out how the search
 walks the faces.
 
+A chord without a loop that joins with several edges is a leaf of the
+sub-map below its first face test: it has one edge there, the one that
+attached it, and so one corner.  Every face walk passes a leaf's vertex
+in and out by that edge, whichever order the bit gives the other darts,
+so the test cannot depend on the chord's bit.  The search runs it once
+per visit of the chord's depth: a failure under bit 0 prunes bit 1 too,
+and bit 1 skips the test after a pass.  That drops only failing nodes,
+about a fifth of all visits over the canonical diagrams with n <= 8, and
+the mask is the same.
+
 The worst case is still exponential: before it answers -1, the search
 must prune every partial map of genus 0, and the hardest inputs for
 that, large words that pass the even condition and are no plane curve,
 are not yet measured.  Sums of small diagrams stay cheap, since each
 summand is its own component of the crossing graph and joins as one
 connected piece: ``1 2 1 2`` with nineteen trefoil summands
-``a b c a b c`` (59 chords) visits 136 nodes, where an index-order
+``a b c a b c`` (59 chords) visits 117 nodes, where an index-order
 search doubled its visits per summand (1,273 for seven summands).
 
 Dart numbering (same conventions as the kernels): edge i runs from circle

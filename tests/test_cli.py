@@ -291,6 +291,22 @@ def test_cross_validate_text_summary(capsys):
     assert lines[-1].startswith("total: 3 diagrams, 0 disagreements")
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cross_validate_summary_names_the_backend_and_workers(capsys, workers):
+    code, out, _ = _run(capsys, "cross-validate", "--max-chords", "2", "--workers", workers)
+    assert code == 0
+    plural = "" if workers == "1" else "s"
+    assert out.splitlines()[-1].endswith(
+        ", %s backend, %s worker%s" % (KERNEL_BACKEND, workers, plural)
+    )
+    # The structured document stays free of how the run went.
+    _, structured, _ = _run(
+        capsys, "cross-validate", "--max-chords", "2", "--workers", workers,
+        "--format", "structured",
+    )
+    assert KERNEL_BACKEND not in structured and "worker" not in structured
+
+
 def test_cross_validate_output_holds_the_structured_report(tmp_path, capsys):
     target = tmp_path / "sweep.json"
     code, out, _ = _run(capsys, "cross-validate", "--max-chords", "3", "--output", str(target))

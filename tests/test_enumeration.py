@@ -99,6 +99,24 @@ def test_orderly_keys_match_brute_force(n):
     assert canonical_keys(n) == _brute_force_keys(n)
 
 
+def test_shard_keys_in_shard_order_are_the_level_stream():
+    # Workers generate each shard's keys; concatenated in shard order they
+    # must be the serial stream, which the counts and hashes above pin.
+    for n in range(1, 9):
+        for least_gap in (1, 2):
+            shards = list(enumeration._shards(n, least_gap))
+            assert all(shard[0] == n for shard in shards)
+            keys = [
+                key
+                for shard in shards
+                for key in enumeration._keys_with_gap(*shard)
+            ]
+            assert keys == list(enumeration._orderly_keys(n, least_gap)), (
+                n,
+                least_gap,
+            )
+
+
 def test_require_non_isolated_filters_the_brute_force_keys():
     for n in range(1, 7):
         diagrams = [CanonicalForm(key=key).diagram() for key in _brute_force_keys(n)]
@@ -244,9 +262,9 @@ def test_parallel_sweep_document_matches_serial(require_non_isolated):
                 )
             ).document()
         )
-        for workers in (1, 2)
+        for workers in (1, 2, 3)
     ]
-    assert docs[0] == docs[1]
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_disagreements_are_recorded_alike_by_one_and_two_workers(monkeypatch):
