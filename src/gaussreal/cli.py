@@ -57,8 +57,8 @@ def _cmd_check(args) -> int:
         raise codec.ParseError("give exactly one of a word or --batch FILE")
     if args.batch is not None:
         with open(args.batch, "r", encoding="utf-8") as handle:
-            entries = codec.parse_batch(handle.read())
-        diagrams = [diagram_from_word(word) for _, word in entries]
+            entries = codec.parse_batch_diagrams(handle.read())
+        diagrams = [diagram for _, diagram in entries]
     else:
         diagrams = [_parse_word(args.word)]
     reports = []

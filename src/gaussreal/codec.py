@@ -8,7 +8,10 @@ Wire formats:
   spaced form, single spaces, newline-terminated.
 
 - *Batch files*: one Gauss code per line; blank lines and lines starting
-  with '#' are ignored.
+  with '#' are ignored.  ``parse_batch_diagrams`` hands each line's tokens
+  to ``core.diagram_from_word``, whose one pass checks them, numbers the
+  chords and computes the crossing rows, so a batch word is read once;
+  ``parse_batch`` gives the same lines as words.
 
 - *Structured reports*: JSON documents with a top-level "schema_version"
   and "kind".  Serialisation is deterministic so equal inputs produce
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import GaussWord, MalformedWord
+from .core import ChordDiagram, GaussWord, MalformedWord, diagram_from_word
 
 SCHEMA_VERSION = 1
 
@@ -34,8 +37,8 @@ class ParseError(ValueError):
     """Input text that cannot be tokenised as a Gauss code."""
 
 
-def parse_gauss_code(text: str) -> GaussWord:
-    """Parse spaced or compact Gauss code text into a validated word."""
+def _tokens(text: str) -> tuple[str, ...]:
+    """The tokens of spaced or compact Gauss code text, not yet validated."""
     tokens = text.split()
     if len(tokens) == 1:
         # No whitespace inside: the compact form, one character per token.
@@ -45,8 +48,13 @@ def parse_gauss_code(text: str) -> GaussWord:
                 "compact Gauss code may only contain alphanumeric characters: %r"
                 % text
             )
-        tokens = list(compact)
-    return GaussWord(tuple(tokens))
+        return tuple(compact)
+    return tuple(tokens)
+
+
+def parse_gauss_code(text: str) -> GaussWord:
+    """Parse spaced or compact Gauss code text into a validated word."""
+    return GaussWord(_tokens(text))
 
 
 def emit_gauss_code(word: GaussWord) -> str:
@@ -54,22 +62,34 @@ def emit_gauss_code(word: GaussWord) -> str:
     return word.text() + "\n"
 
 
-def parse_batch(text: str) -> list[tuple[int, GaussWord]]:
-    """Parse a batch file body into (line_number, word) pairs.
+def parse_batch_diagrams(text: str) -> list[tuple[int, ChordDiagram]]:
+    """Parse a batch file body into (line_number, diagram) pairs.
 
     Line numbers are 1-based and refer to the original text, so error
     messages and counterexample files can point back at their source.
+    Each line's tokens go to ``diagram_from_word`` as they are: its pass
+    raises the MalformedWord that GaussWord would, so no GaussWord
+    validates them first.
     """
-    out: list[tuple[int, GaussWord]] = []
+    out: list[tuple[int, ChordDiagram]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.strip()
         if not body or body.startswith("#"):
             continue
         try:
-            out.append((lineno, parse_gauss_code(body)))
+            out.append((lineno, diagram_from_word(_tokens(body))))
         except (ParseError, MalformedWord) as exc:
             raise type(exc)("line %d: %s" % (lineno, exc)) from None
     return out
+
+
+def parse_batch(text: str) -> list[tuple[int, GaussWord]]:
+    """Parse a batch file body into (line_number, word) pairs.
+
+    The lines and errors of ``parse_batch_diagrams``, with each diagram's
+    word.
+    """
+    return [(lineno, diagram.word) for lineno, diagram in parse_batch_diagrams(text)]
 
 
 def emit_batch(words) -> str:

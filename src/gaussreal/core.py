@@ -18,7 +18,10 @@ Conventions used throughout the package:
   ``rows[a]`` is set iff a and b cross.  Read as a symmetric matrix over
   GF(2), these rows are what the criterion and the toggle rule work on;
   ``Interlacement.crossings`` decodes them into index sets for callers
-  that want sets.
+  that want sets.  ``diagram_from_word`` computes the rows in the same
+  pass over the tokens that numbers the chords and checks that each
+  occurs twice, and stores them on the diagram as ``crossing_rows``;
+  ``interlacement`` reads them from there.
 
 - The canonical form of a word is the lexicographically least sequence of
   first-occurrence indices over all 2n rotations and both reading
@@ -107,6 +110,21 @@ class ChordDiagram:
         return tuple(out)
 
     @cached_property
+    def crossing_rows(self) -> tuple[int, ...]:
+        """Bit b of ``crossing_rows[a]`` is set iff chords a and b cross.
+
+        ``diagram_from_word`` stores these as it builds the diagram; any
+        other diagram gets them from one prefix XOR: ``prefix[p]`` is the
+        XOR of ``1 << chord`` over the positions before p, so
+        ``prefix[q] ^ prefix[p + 1]`` keeps exactly the chords with one
+        endpoint strictly between p and q.
+        """
+        prefix = [0]
+        for c in self.position_chord:
+            prefix.append(prefix[-1] ^ (1 << c))
+        return tuple([prefix[q] ^ prefix[p + 1] for p, q in self.endpoints])
+
+    @cached_property
     def index_by_label(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -123,22 +141,66 @@ class ChordDiagram:
         return tuple(self.position_chord)
 
 
-def diagram_from_word(word: GaussWord | str) -> ChordDiagram:
-    """Resolve a word into a chord diagram (indices by first occurrence)."""
-    if isinstance(word, str):
-        word = GaussWord.from_tokens(word.split())
-    labels: list[str] = []
-    first: dict[str, int] = {}
-    pairs: dict[str, list[int]] = {}
-    for pos, sym in enumerate(word.symbols):
-        if sym not in first:
-            first[sym] = len(labels)
-            labels.append(sym)
-            pairs[sym] = [pos]
+def _double_occurrence_word(symbols: tuple[str, ...]) -> GaussWord:
+    """A GaussWord built without ``GaussWord.__post_init__``.
+
+    For callers that have already checked that every symbol is non-empty
+    and occurs exactly twice, which is all ``__post_init__`` checks, so
+    counting the symbols again would only cost time.
+    """
+    word = object.__new__(GaussWord)
+    object.__setattr__(word, "symbols", symbols)
+    return word
+
+
+def diagram_from_word(word: GaussWord | str | tuple[str, ...]) -> ChordDiagram:
+    """Resolve a word into a chord diagram (indices by first occurrence).
+
+    ``word`` is a GaussWord, its text, or its tokens as a tuple.  One pass
+    over the tokens numbers the chords, records their endpoints and the
+    chord at each position, and computes the crossing rows as
+    ``enumeration._key_pass`` does: ``seen`` is the XOR of ``1 << c`` over
+    the positions read so far, and a chord's row is ``seen`` just after
+    its first end XOR ``seen`` just before its second.  The same pass
+    checks the tokens: they form a double occurrence word iff no token is
+    empty, every chord is closed again (``seen`` ends at 0, so each label
+    occurs an even number of times) and there are twice as many tokens as
+    labels (so each occurs exactly twice).  Tokens that fail raise
+    GaussWord's MalformedWord, and tokens that pass need no GaussWord
+    validation of their own.
+    """
+    if isinstance(word, GaussWord):
+        symbols = word.symbols
+    else:
+        symbols = tuple(word.split() if isinstance(word, str) else word)
+    index: dict[str, int] = {}
+    number = index.setdefault
+    position_chord = []
+    starts = []
+    ends = [0] * len(symbols)  # room for any number of chords; zip trims it
+    rows = []
+    seen = 0
+    fresh = 0
+    for q, sym in enumerate(symbols):
+        c = number(sym, fresh)
+        position_chord.append(c)
+        if c == fresh:
+            fresh += 1
+            starts.append(q)
+            seen ^= 1 << c
+            rows.append(seen)
         else:
-            pairs[sym].append(pos)
-    endpoints = tuple((pairs[lab][0], pairs[lab][1]) for lab in labels)
-    return ChordDiagram(word=word, labels=tuple(labels), endpoints=endpoints)
+            ends[c] = q
+            rows[c] ^= seen
+            seen ^= 1 << c
+    if seen or 2 * fresh != len(symbols) or "" in index:
+        GaussWord(symbols)  # each of these fails its count, so this raises
+    if not isinstance(word, GaussWord):
+        word = _double_occurrence_word(symbols)
+    diagram = ChordDiagram(word, tuple(index), tuple(zip(starts, ends)))
+    diagram.__dict__["position_chord"] = tuple(position_chord)
+    diagram.__dict__["crossing_rows"] = tuple(rows)
+    return diagram
 
 
 def word_from_positions(n: int, position_chord, labels=None) -> GaussWord:
@@ -179,18 +241,12 @@ class Interlacement:
 
 
 def interlacement(diagram: ChordDiagram) -> Interlacement:
-    """Compute which chords cross: exactly one endpoint strictly inside.
+    """Which chords cross: exactly one endpoint strictly inside.
 
-    ``prefix[p]`` is the XOR of ``1 << chord`` over the positions before p,
-    so ``prefix[q] ^ prefix[p + 1]`` keeps exactly the chords with one
-    endpoint strictly between p and q.
+    The rows are the diagram's ``crossing_rows``, which
+    ``diagram_from_word`` computed as it built the diagram.
     """
-    prefix = [0]
-    for c in diagram.position_chord:
-        prefix.append(prefix[-1] ^ (1 << c))
-    return Interlacement(
-        tuple(prefix[q] ^ prefix[p + 1] for p, q in diagram.endpoints)
-    )
+    return Interlacement(diagram.crossing_rows)
 
 
 def crossing_labels(diagram: ChordDiagram, inter: Interlacement) -> dict[str, frozenset[str]]:
@@ -200,18 +256,6 @@ def crossing_labels(diagram: ChordDiagram, inter: Interlacement) -> dict[str, fr
         labels[c]: frozenset(labels[d] for d in iter_bits(row))
         for c, row in enumerate(inter.rows)
     }
-
-
-def _double_occurrence_word(symbols: tuple[str, ...]) -> GaussWord:
-    """A GaussWord built without ``GaussWord.__post_init__``.
-
-    For callers that have already checked that every symbol is non-empty
-    and occurs exactly twice, which is all ``__post_init__`` checks, so
-    counting the symbols again would only cost time.
-    """
-    word = object.__new__(GaussWord)
-    object.__setattr__(word, "symbols", symbols)
-    return word
 
 
 @lru_cache(maxsize=None)

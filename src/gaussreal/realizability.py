@@ -146,11 +146,13 @@ def _even_report(diagram: ChordDiagram, rows) -> EvenConditionReport:
     crossing a, which ``_square_rows`` gives for every a at once.  The
     chords are sorted by label once, into ``order``, and ``rank`` is each
     chord's place in it.  Violations are read off in that order, each
-    pair from its chord that comes first; the names in one violation are
-    the labels of its set bits, sorted by rank.
+    pair from its chord that comes first, so chord a names the set bits
+    of its row of S outside A whose rank follows its own, in rank order;
+    the names in one violation are the labels of its set bits, sorted by
+    rank.
     """
     labels = diagram.labels
-    order = sorted(range(diagram.n), key=lambda c: _label_key(labels[c]))
+    order = sorted(range(diagram.n), key=list(map(_label_key, labels)).__getitem__)
     ranked = [labels[c] for c in order]
     rank = [0] * diagram.n
     for i, c in enumerate(order):
@@ -171,18 +173,27 @@ def _even_report(diagram: ChordDiagram, rows) -> EvenConditionReport:
     for i, a in enumerate(order):
         row = rows[a]
         odd = squares[a] & ~row
+        if not odd:
+            continue
         if odd >> a & 1:
             chord_violations.append(
                 ChordParityViolation(chord=labels[a], crossings=names(row))
             )
-        if odd:
-            for b in order[i + 1 :]:
-                if odd >> b & 1:
-                    pair_violations.append(
-                        PairParityViolation(
-                            pair=(labels[a], labels[b]), shared=names(row & rows[b])
-                        )
-                    )
+        later = []  # ranks of the partners b that come after a
+        while odd:
+            low = odd & -odd
+            r = rank[low.bit_length() - 1]
+            if r > i:
+                later.append(r)
+            odd ^= low
+        later.sort()
+        for r in later:
+            b = order[r]
+            pair_violations.append(
+                PairParityViolation(
+                    pair=(labels[a], labels[b]), shared=names(row & rows[b])
+                )
+            )
     violations = tuple(chord_violations) + tuple(pair_violations)
     return EvenConditionReport(holds=not violations, violations=violations)
 
@@ -380,26 +391,33 @@ def remove_isolated(diagram: ChordDiagram) -> ChordDiagram:
 
 
 def _drop_kinks(diagram: ChordDiagram, rows) -> ChordDiagram:
-    """The diagram without the chords whose crossing ``rows`` are empty."""
+    """The diagram without the chords whose crossing ``rows`` are empty.
+
+    Both ends of every dropped chord go, so the kept tokens still form a
+    double occurrence word; they go straight to ``diagram_from_word``,
+    whose one pass numbers the chords left and computes their rows, with
+    no GaussWord validation first.
+    """
     if all(rows):
         return diagram
-    keep = tuple(
-        s
-        for p, s in enumerate(diagram.word.symbols)
-        if rows[diagram.position_chord[p]]
+    symbols = diagram.word.symbols
+    return diagram_from_word(
+        tuple([s for s, c in zip(symbols, diagram.position_chord) if rows[c]])
     )
-    return diagram_from_word(GaussWord(keep))
 
 
 def is_realizable(diagram: ChordDiagram) -> RealizabilityReport:
     """Decide realizability: even condition for the diagram and all smoothings.
 
     The verdict is ``_decide`` on the crossing rows of the diagram as
-    given, which is that of the kink-free diagram.  The witness for a
-    non-realizable verdict is the least one in search order: a violation
-    of the kink-free diagram itself if there is one, otherwise the first
-    chord (in index order) whose smoothing violates, with that smoothing's
-    full violation list.  Only that witness is labelled, through
+    given, which is that of the kink-free diagram.  ``interlacement``
+    reads those rows off the diagram, where ``diagram_from_word`` stored
+    them, and ``_drop_kinks`` builds the kink-free diagram, rows and all,
+    in one pass over the kept tokens.  The witness for a non-realizable
+    verdict is the least one in search order: a violation of the
+    kink-free diagram itself if there is one, otherwise the first chord
+    (in index order) whose smoothing violates, with that smoothing's full
+    violation list.  Only that witness is labelled, through
     ``even_condition`` and the word rule on the kink-free diagram; when
     there are no kinks, the diagram's own rows serve.
     """

@@ -99,6 +99,39 @@ def test_check_batch_names_a_decoding_error(tmp_path, capsys):
     assert err.startswith("error: ") and "can't decode" in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "# header\n\n1 1\n  # note\n1 2 3 1 2\n1 2 1 2\n",
+            "error: line 5: every label must occur exactly twice;"
+            " offending labels: 3\n",
+        ),
+        (
+            "1 2 1 2\n\n# three sevens\n7 7 7 8 8 7\n",
+            "error: line 4: every label must occur exactly twice;"
+            " offending labels: 7\n",
+        ),
+        (
+            "# compact words\nabab\n\na-a\n",
+            "error: line 4: compact Gauss code may only contain"
+            " alphanumeric characters: 'a-a'\n",
+        ),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("cross", [(), ("--cross-check",)])
+def test_batch_error_names_its_line_and_exits_two(
+    tmp_path, capsys, body, message, fmt, cross
+):
+    batch = tmp_path / "words.txt"
+    batch.write_text(body)
+    code, out, err = _run(
+        capsys, "check", "--batch", str(batch), "--format", fmt, *cross
+    )
+    assert (code, out, err) == (2, "", message)
+
+
 def test_batch_structured_document(tmp_path, capsys):
     batch = tmp_path / "words.txt"
     batch.write_text("1 1\n1 2 1 2\n")

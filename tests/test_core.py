@@ -125,3 +125,118 @@ def test_diagram_accepts_word_or_text():
 def test_canonical_form_diagram_roundtrip():
     key = canonicalize("1 2 1 2").key
     assert CanonicalForm(key=key).diagram().word.text() == "1 2 1 2"
+
+
+def _reference_diagram(tokens):
+    """Word, labels, endpoints, chord per position and crossing rows of
+    ``tokens`` by three separate passes, the route the builder replaced:
+    GaussWord's validation, the first/pairs dicts, then the prefix XOR."""
+    word = GaussWord(tokens)
+    labels: list[str] = []
+    first: dict[str, int] = {}
+    pairs: dict[str, list[int]] = {}
+    for pos, sym in enumerate(word.symbols):
+        if sym not in first:
+            first[sym] = len(labels)
+            labels.append(sym)
+            pairs[sym] = [pos]
+        else:
+            pairs[sym].append(pos)
+    endpoints = tuple((pairs[lab][0], pairs[lab][1]) for lab in labels)
+    position_chord = [0] * len(tokens)
+    for c, (p, q) in enumerate(endpoints):
+        position_chord[p] = position_chord[q] = c
+    prefix = [0]
+    for c in position_chord:
+        prefix.append(prefix[-1] ^ (1 << c))
+    rows = tuple(prefix[q] ^ prefix[p + 1] for p, q in endpoints)
+    return word, tuple(labels), endpoints, tuple(position_chord), rows
+
+
+# Labels that look alike but differ, and sort in every way _label_key can.
+_LABELS = ["7", "07", "+7", "10", "2", "a", "A", "b", "B", "x1", "X1", "z"]
+
+
+@st.composite
+def _mixed_words(draw):
+    """Double occurrence words over mixed labels, turned, read backwards
+    and with kinks (a label twice in a row) put in; the empty word too."""
+    labels = draw(st.lists(st.sampled_from(_LABELS), max_size=8, unique=True))
+    tokens = draw(st.permutations(labels * 2))
+    if tokens:
+        turn = draw(st.integers(0, len(tokens) - 1))
+        tokens = tokens[turn:] + tokens[:turn]
+    if draw(st.booleans()):
+        tokens = tokens[::-1]
+    for kink in draw(st.lists(st.integers(0, 99), max_size=3, unique=True)):
+        j = draw(st.integers(0, len(tokens)))
+        tokens = tokens[:j] + ["k%d" % kink] * 2 + tokens[j:]
+    return tuple(tokens)
+
+
+# How often the spoilt tokens occur: one label once, three or four
+# times, two labels once and three times, or the empty token once or
+# twice (a fault even though twice).
+_FAULTS = [(False, (1,)), (False, (3,)), (False, (4,)), (False, (1, 3))]
+_FAULTS += [(True, (1,)), (True, (2,))]
+
+
+@st.composite
+def _malformed_tokens(draw):
+    """Mixed words with one of the faults above put in."""
+    tokens = list(draw(_mixed_words()))
+    empty, counts = draw(st.sampled_from(_FAULTS))
+    spoilt = [""] if empty else draw(
+        st.lists(
+            st.sampled_from(_LABELS),
+            min_size=len(counts),
+            max_size=len(counts),
+            unique=True,
+        )
+    )
+    for label, count in zip(spoilt, counts):
+        tokens = [t for t in tokens if t != label]
+        for _ in range(count):
+            tokens.insert(draw(st.integers(0, len(tokens))), label)
+    return tuple(tokens)
+
+
+@given(_mixed_words())
+def test_builder_matches_the_three_pass_route(tokens):
+    word, labels, endpoints, position_chord, rows = _reference_diagram(tokens)
+    for given_as in (tokens, word, " ".join(tokens)):
+        d = diagram_from_word(given_as)
+        assert d.word == word and d.word.symbols == tokens
+        assert d.labels == labels
+        assert d.endpoints == endpoints
+        assert d.position_chord == position_chord
+        assert d.crossing_rows == rows
+        assert interlacement(d).rows == rows
+    # A diagram built without the builder computes the same rows itself.
+    assert ChordDiagram(word, labels, endpoints).crossing_rows == rows
+
+
+@given(_malformed_tokens())
+def test_builder_refuses_malformed_tokens_as_gauss_word_does(tokens):
+    with pytest.raises(MalformedWord) as expected:
+        GaussWord(tokens)
+    with pytest.raises(MalformedWord) as refused:
+        diagram_from_word(tokens)
+    assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        (("1", "2", "1"), "offending labels: 2"),
+        (("7", "7", "7", "8", "8"), "offending labels: 7"),
+        (("a", "a", "a", "a"), "offending labels: a"),
+        (("a", "a", "a", "b"), "offending labels: a b"),
+        (("1", "", "1", ""), "empty token"),
+        (("1", "1", "2"), "offending labels: 2"),
+    ],
+)
+def test_builder_names_the_offending_labels(tokens, message):
+    with pytest.raises(MalformedWord) as refused:
+        diagram_from_word(tokens)
+    assert str(refused.value).endswith(message)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from gaussreal import (
+    ChordDiagram,
     EvenConditionViolation,
     GaussWord,
     SmoothingViolation,
@@ -26,6 +27,9 @@ ODD_CHORD_4 = "1 2 3 1 4 2 4 3"
 EVEN_NONREAL_6 = "1 2 3 4 5 6 2 1 4 3 6 5"
 # Same phenomenon with eight chords; smoothing chord 0 breaks it.
 EVEN_NONREAL_8 = "0 1 2 3 4 5 6 0 1 7 3 2 5 6 7 4"
+# The acceptance tests' smoothing fixture: no chord is a kink, and
+# smoothing chord c leaves the recorded eight-chord curve word.
+KINKED_8 = "c 1 2 3 4 5 1 6 3 4 7 c 8 7 5 2 6 8"
 
 
 def test_even_condition_failure_lists_chords_then_pairs():
@@ -140,6 +144,47 @@ def test_kink_insertion_never_changes_the_verdict(canonical_by_n):
                 report = is_realizable(diagram_from_word(kinked))
                 assert report.realizable == base, kinked
                 assert report.kink_free_word == remove_isolated(d).word
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        KINKED_8,
+        "k k " + KINKED_8 + " K K",
+        "c 1 2 3 4 5 1 6 3 4 7 c 07 07 8 7 5 2 6 8",
+        "1 1 2 2",
+        "1 2 2 1 3 3",
+        "",
+        "07 07 x y x 7 7 y +7 +7",
+        "a A a b b A B B",
+        "1 2 3 1 2 3 z z",
+        "1 2 1 2 Z Z",
+        "q q " + EVEN_NONREAL_6,
+    ],
+)
+def test_kink_free_diagram_is_the_word_route_diagram(text):
+    d = diagram_from_word(text)
+    rows = interlacement(d).rows
+    isolated = {d.labels[c] for c in interlacement(d).isolated()}
+    kept = tuple(s for s in d.word.symbols if s not in isolated)
+    expected = diagram_from_word(GaussWord(kept))
+    for reduced in (realizability._drop_kinks(d, rows), remove_isolated(d)):
+        assert reduced.word == expected.word
+        assert reduced.labels == expected.labels
+        assert reduced.endpoints == expected.endpoints
+        assert reduced.position_chord == expected.position_chord
+        assert reduced.crossing_rows == expected.crossing_rows
+        # Rows recomputed from the endpoints alone, by the prefix XOR.
+        plain = ChordDiagram(expected.word, expected.labels, expected.endpoints)
+        assert reduced.crossing_rows == plain.crossing_rows
+    report = is_realizable(d)
+    assert report.kink_free_word == expected.word
+    assert verify_witness(d, report) is True
+    kink_free = is_realizable(expected)
+    assert (report.realizable, report.witness) == (
+        kink_free.realizable,
+        kink_free.witness,
+    )
 
 
 def test_verify_witness_rejects_a_tampered_chord_violation():
