@@ -31,7 +31,8 @@ from .smoothing import smooth_by_word
 
 
 def _parse_word(text: str):
-    return diagram_from_word(codec.parse_gauss_code(text))
+    """The diagram of one word's text, whose tokens the builder checks."""
+    return diagram_from_word(codec._tokens(text))
 
 
 def _emit(args, document: dict, text_lines: list[str]) -> None:

@@ -9,9 +9,9 @@ Wire formats:
 
 - *Batch files*: one Gauss code per line; blank lines and lines starting
   with '#' are ignored.  ``parse_batch_diagrams`` hands each line's tokens
-  to ``core.diagram_from_word``, whose one pass checks them, numbers the
-  chords and computes the crossing rows, so a batch word is read once;
-  ``parse_batch`` gives the same lines as words.
+  to ``core.diagram_from_word``, which numbers the chords, computes the
+  crossing rows and checks the tokens, so a batch word is validated
+  once; ``parse_batch`` gives the same lines as words.
 
 - *Structured reports*: JSON documents with a top-level "schema_version"
   and "kind".  Serialisation is deterministic so equal inputs produce

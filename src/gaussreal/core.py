@@ -18,10 +18,13 @@ Conventions used throughout the package:
   ``rows[a]`` is set iff a and b cross.  Read as a symmetric matrix over
   GF(2), these rows are what the criterion and the toggle rule work on;
   ``Interlacement.crossings`` decodes them into index sets for callers
-  that want sets.  ``diagram_from_word`` computes the rows in the same
-  pass over the tokens that numbers the chords and checks that each
-  occurs twice, and stores them on the diagram as ``crossing_rows``;
-  ``interlacement`` reads them from there.
+  that want sets.
+
+- Only ``_chord_pass`` reads endpoints and crossing rows off a word of
+  chord indices.  ``diagram_from_word`` hands it the numbered tokens,
+  ``CanonicalForm.diagram`` and the sweep of ``gaussreal.enumeration`` a
+  canonical key, which is already such a word.  A diagram keeps the rows
+  as ``crossing_rows``, and ``interlacement`` reads them from there.
 
 - The canonical form of a word is the lexicographically least sequence of
   first-occurrence indices over all 2n rotations and both reading
@@ -113,16 +116,12 @@ class ChordDiagram:
     def crossing_rows(self) -> tuple[int, ...]:
         """Bit b of ``crossing_rows[a]`` is set iff chords a and b cross.
 
-        ``diagram_from_word`` stores these as it builds the diagram; any
-        other diagram gets them from one prefix XOR: ``prefix[p]`` is the
-        XOR of ``1 << chord`` over the positions before p, so
-        ``prefix[q] ^ prefix[p + 1]`` keeps exactly the chords with one
-        endpoint strictly between p and q.
+        ``diagram_from_word`` and ``CanonicalForm.diagram`` store these as
+        they build the diagram; any other diagram reads them off its
+        ``position_chord`` with ``_chord_pass``, since its chords are
+        numbered by first occurrence.
         """
-        prefix = [0]
-        for c in self.position_chord:
-            prefix.append(prefix[-1] ^ (1 << c))
-        return tuple([prefix[q] ^ prefix[p + 1] for p, q in self.endpoints])
+        return _chord_pass(self.position_chord)[1]
 
     @cached_property
     def index_by_label(self) -> dict[str, int]:
@@ -153,21 +152,48 @@ def _double_occurrence_word(symbols: tuple[str, ...]) -> GaussWord:
     return word
 
 
+def _chord_pass(index_word) -> tuple[tuple, tuple, int]:
+    """``(endpoints, rows, open)`` of a word of chord indices.
+
+    ``index_word`` has 2n positions and chords 0..n-1, numbered by first
+    occurrence: a chord occurs first exactly when its number is the next
+    fresh one.  ``seen`` is the XOR of ``1 << c`` over the positions read
+    so far, so a chord's row is ``seen`` just after its first end XOR
+    ``seen`` just before its second: the chords with one end strictly
+    between.  ``open`` is the final ``seen``, the chords that occur an odd
+    number of times; it is 0 for a double occurrence word, and then the
+    endpoints and rows are the diagram's.
+    """
+    n = len(index_word) >> 1
+    starts = [0] * n
+    endpoints = [(0, 0)] * n
+    rows = [0] * n
+    seen = 0
+    fresh = 0
+    for q, c in enumerate(index_word):
+        if c == fresh:
+            fresh += 1
+            starts[c] = q
+            seen ^= 1 << c
+            rows[c] = seen
+        else:
+            endpoints[c] = (starts[c], q)
+            rows[c] ^= seen
+            seen ^= 1 << c
+    return tuple(endpoints), tuple(rows), seen
+
+
 def diagram_from_word(word: GaussWord | str | tuple[str, ...]) -> ChordDiagram:
     """Resolve a word into a chord diagram (indices by first occurrence).
 
-    ``word`` is a GaussWord, its text, or its tokens as a tuple.  One pass
-    over the tokens numbers the chords, records their endpoints and the
-    chord at each position, and computes the crossing rows as
-    ``enumeration._key_pass`` does: ``seen`` is the XOR of ``1 << c`` over
-    the positions read so far, and a chord's row is ``seen`` just after
-    its first end XOR ``seen`` just before its second.  The same pass
-    checks the tokens: they form a double occurrence word iff no token is
-    empty, every chord is closed again (``seen`` ends at 0, so each label
-    occurs an even number of times) and there are twice as many tokens as
-    labels (so each occurs exactly twice).  Tokens that fail raise
-    GaussWord's MalformedWord, and tokens that pass need no GaussWord
-    validation of their own.
+    ``word`` is a GaussWord, its text, or its tokens as a tuple.  The
+    tokens are numbered by first occurrence, and ``_chord_pass`` reads the
+    endpoints and crossing rows off the index word.  The tokens form a
+    double occurrence word iff no token is empty, there are twice as many
+    tokens as labels, and the pass leaves no chord open (so each label
+    occurs an even number of times, and hence exactly twice).  Tokens
+    that fail raise GaussWord's MalformedWord, and tokens that pass need
+    no GaussWord validation of their own.
     """
     if isinstance(word, GaussWord):
         symbols = word.symbols
@@ -175,31 +201,17 @@ def diagram_from_word(word: GaussWord | str | tuple[str, ...]) -> ChordDiagram:
         symbols = tuple(word.split() if isinstance(word, str) else word)
     index: dict[str, int] = {}
     number = index.setdefault
-    position_chord = []
-    starts = []
-    ends = [0] * len(symbols)  # room for any number of chords; zip trims it
-    rows = []
-    seen = 0
-    fresh = 0
-    for q, sym in enumerate(symbols):
-        c = number(sym, fresh)
-        position_chord.append(c)
-        if c == fresh:
-            fresh += 1
-            starts.append(q)
-            seen ^= 1 << c
-            rows.append(seen)
-        else:
-            ends[c] = q
-            rows[c] ^= seen
-            seen ^= 1 << c
-    if seen or 2 * fresh != len(symbols) or "" in index:
+    index_word = tuple([number(sym, len(index)) for sym in symbols])
+    bad = 2 * len(index) != len(symbols) or "" in index
+    if not bad:  # n labels for 2n tokens, as the pass needs
+        endpoints, rows, bad = _chord_pass(index_word)
+    if bad:
         GaussWord(symbols)  # each of these fails its count, so this raises
     if not isinstance(word, GaussWord):
         word = _double_occurrence_word(symbols)
-    diagram = ChordDiagram(word, tuple(index), tuple(zip(starts, ends)))
-    diagram.__dict__["position_chord"] = tuple(position_chord)
-    diagram.__dict__["crossing_rows"] = tuple(rows)
+    diagram = ChordDiagram(word, tuple(index), endpoints)
+    diagram.__dict__["position_chord"] = index_word
+    diagram.__dict__["crossing_rows"] = rows
     return diagram
 
 
@@ -284,30 +296,27 @@ class CanonicalForm:
         return GaussWord.from_tokens(str(c + 1) for c in self.key)
 
     def diagram(self) -> ChordDiagram:
-        """``diagram_from_word(self.word)``, built from the key in one pass.
+        """``diagram_from_word(self.word)``, built from the key directly.
 
-        A key numbers its chords by first occurrence, so chord c is the one
-        labelled str(c + 1), and its endpoints are where c occurs.  The pass
-        also checks that each chord occurs exactly twice; any other key
-        takes the word route, which raises the same MalformedWord.
+        A key whose chords 0..n-1 are numbered by first occurrence is its
+        diagram's index word, with chord c labelled str(c + 1), so
+        ``_chord_pass`` reads the diagram off it; a chord it leaves open
+        occurs an odd number of times.  Any other key, and one with a chord
+        left open, takes the word route, which raises the same
+        MalformedWord.
         """
         key = self.key
-        starts: list[int] = []
-        ends = [0] * len(key)
-        for p, c in enumerate(key):
-            if c == len(starts):
-                starts.append(p)
-            elif 0 <= c < len(starts) and not ends[c]:
-                ends[c] = p  # p > 0, so 0 marks a chord still open
-            else:  # not numbered by first occurrence, or a third occurrence
-                return diagram_from_word(self.word)
-        if len(key) != 2 * len(starts):  # a chord that never closes
-            return diagram_from_word(self.word)
-        labels = _numerals(len(starts))
-        word = _double_occurrence_word(tuple([labels[c] for c in key]))
-        diagram = ChordDiagram(word, labels, tuple(zip(starts, ends)))
-        diagram.__dict__["position_chord"] = key  # the key is the index word
-        return diagram
+        n = len(key) >> 1
+        if 2 * n == len(key) and tuple(dict.fromkeys(key)) == tuple(range(n)):
+            endpoints, rows, open_ = _chord_pass(key)
+            if not open_:
+                labels = _numerals(n)
+                word = _double_occurrence_word(tuple([labels[c] for c in key]))
+                diagram = ChordDiagram(word, labels, endpoints)
+                diagram.__dict__["position_chord"] = key
+                diagram.__dict__["crossing_rows"] = rows
+                return diagram
+        return diagram_from_word(self.word)
 
 
 def canonicalize(diagram: ChordDiagram | GaussWord | str) -> CanonicalForm:

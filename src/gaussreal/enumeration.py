@@ -45,8 +45,9 @@ disagreements are added up in shard order, which keeps the document
 byte-identical for any number of workers.  A shard generates ``_SWEEP_CHUNK`` keys at a time before it
 decides them, since alternating one generated key with one decision
 costs about 3 µs more per key in pure Python.  A key is its diagram's
-``position_chord``, and one pass over it gives the endpoints, which the
-oracle searches, and the crossing rows, which the criterion decides on.
+``position_chord``, and ``core._chord_pass``, the one pass that every
+diagram is built from, reads off it the endpoints, which the oracle
+searches, and the crossing rows, which the criterion decides on.
 So a key builds a labelled ``ChordDiagram`` only for the pure-Python
 retrace of a spherical mask and for a disagreement.
 Disagreements are not errors of the harness; they are its most important
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import _kernels, codec
-from .core import CanonicalForm, ChordDiagram, GaussWord, interlacement
+from .core import CanonicalForm, ChordDiagram, GaussWord, _chord_pass, interlacement
 from .core import diagram_from_word  # noqa: F401  -- wrapped by perfbench/spans.py
 from .oracle import EmbeddingWitness, planar_mask, spherical_witness
 from .oracle import oracle_realizable  # noqa: F401  -- wrapped by perfbench/spans.py
@@ -327,42 +328,13 @@ _SWEEP_CHUNK = 256
 _SHARD_HEAD = 3
 
 
-def _key_pass(key: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
-    """The endpoints and crossing rows of a canonical key's diagram.
-
-    A key numbers its chords by first occurrence, so it is its own
-    ``position_chord``, and a chord occurs first exactly when its number
-    is the next fresh one.  ``seen`` is the XOR of ``1 << c`` over the
-    positions read so far: a chord's row is ``seen`` just after its first
-    end XOR ``seen`` just before its second, the chords with one end
-    strictly between, as in ``core.interlacement``.
-    """
-    n = len(key) >> 1
-    starts = [0] * n
-    endpoints: list[tuple[int, int]] = [(0, 0)] * n
-    rows = [0] * n
-    seen = 0
-    fresh = 0
-    for q, c in enumerate(key):
-        if c == fresh:
-            fresh += 1
-            starts[c] = q
-            seen ^= 1 << c
-            rows[c] = seen
-        else:
-            endpoints[c] = (starts[c], q)
-            rows[c] ^= seen
-            seen ^= 1 << c
-    return endpoints, rows
-
-
 def _sweep_item(
     key: tuple[int, ...], require_non_isolated: bool = False
 ) -> tuple[int, bool, Disagreement | None] | None:
     """Chord count and criterion verdict of one key's diagram, and any split.
 
     The shard that generates the key decides it, in a worker process if
-    asked.  ``_key_pass`` reads the endpoints and crossing rows
+    asked.  ``core._chord_pass`` reads the endpoints and crossing rows
     off the key, and the key is the diagram's ``position_chord``; the
     criterion decides on these and the oracle searches the endpoints, so
     most keys build no ``ChordDiagram``.  With ``require_non_isolated`` a
@@ -370,7 +342,7 @@ def _sweep_item(
     a spherical mask, which ``spherical_witness`` retraces in pure Python,
     and for a split, which carries ``is_realizable``'s labelled report.
     """
-    endpoints, rows = _key_pass(key)
+    endpoints, rows, _ = _chord_pass(key)
     if require_non_isolated and not all(rows):
         return None
     n = len(rows)

@@ -395,8 +395,8 @@ def _drop_kinks(diagram: ChordDiagram, rows) -> ChordDiagram:
 
     Both ends of every dropped chord go, so the kept tokens still form a
     double occurrence word; they go straight to ``diagram_from_word``,
-    whose one pass numbers the chords left and computes their rows, with
-    no GaussWord validation first.
+    which numbers the chords left and computes their rows, with no
+    GaussWord validation first.
     """
     if all(rows):
         return diagram

@@ -45,7 +45,11 @@ class SmoothingResult:
 
 
 def smooth_by_word(diagram: ChordDiagram, chord: str) -> SmoothingResult:
-    """Smooth ``chord`` by the W1 c W2 c W3 -> W1 reversed(W2) W3 rule."""
+    """Smooth ``chord`` by the W1 c W2 c W3 -> W1 reversed(W2) W3 rule.
+
+    The smoothed tokens go to ``diagram_from_word`` as they are, whose
+    pass checks that they form a double occurrence word.
+    """
     idx = diagram.index_of(chord)
     p, q = diagram.endpoints[idx]
     syms = diagram.word.symbols
@@ -53,7 +57,7 @@ def smooth_by_word(diagram: ChordDiagram, chord: str) -> SmoothingResult:
     return SmoothingResult(
         source_word=diagram.word,
         chord=diagram.labels[idx],
-        diagram=diagram_from_word(GaussWord(smoothed)),
+        diagram=diagram_from_word(smoothed),
     )
 
 

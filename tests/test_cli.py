@@ -202,9 +202,17 @@ def test_oracle_past_its_limit_exits_two(capsys):
 
 
 def test_malformed_word_exits_two(capsys):
-    code, _, err = _run(capsys, "check", "1 2 1")
-    assert code == 2
-    assert err.startswith("error:")
+    # A label seen once, a label seen three times, a compact word that is
+    # not alphanumeric: each single-word command names it the same way.
+    malformed = [
+        ("1 2 1", "every label must occur exactly twice; offending labels: 2"),
+        ("a b a b a", "every label must occur exactly twice; offending labels: a"),
+        ("ab-ab", "compact Gauss code may only contain alphanumeric characters: 'ab-ab'"),
+    ]
+    for command in ("check", "smooth", "oracle", "witness"):
+        for word, message in malformed:
+            argv = [command, word] + (["1"] if command == "smooth" else [])
+            assert _run(capsys, *argv) == (2, "", "error: %s\n" % message), argv
 
 
 def test_smooth_prints_the_smoothed_word(capsys):

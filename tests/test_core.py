@@ -18,6 +18,8 @@ from gaussreal import (
 )
 from gaussreal.core import _label_key
 
+from conftest import _reference_diagram
+
 REALIZABLE_7 = "1 2 3 4 5 1 6 3 7 5 4 7 2 6"
 
 
@@ -125,32 +127,6 @@ def test_diagram_accepts_word_or_text():
 def test_canonical_form_diagram_roundtrip():
     key = canonicalize("1 2 1 2").key
     assert CanonicalForm(key=key).diagram().word.text() == "1 2 1 2"
-
-
-def _reference_diagram(tokens):
-    """Word, labels, endpoints, chord per position and crossing rows of
-    ``tokens`` by three separate passes, the route the builder replaced:
-    GaussWord's validation, the first/pairs dicts, then the prefix XOR."""
-    word = GaussWord(tokens)
-    labels: list[str] = []
-    first: dict[str, int] = {}
-    pairs: dict[str, list[int]] = {}
-    for pos, sym in enumerate(word.symbols):
-        if sym not in first:
-            first[sym] = len(labels)
-            labels.append(sym)
-            pairs[sym] = [pos]
-        else:
-            pairs[sym].append(pos)
-    endpoints = tuple((pairs[lab][0], pairs[lab][1]) for lab in labels)
-    position_chord = [0] * len(tokens)
-    for c, (p, q) in enumerate(endpoints):
-        position_chord[p] = position_chord[q] = c
-    prefix = [0]
-    for c in position_chord:
-        prefix.append(prefix[-1] ^ (1 << c))
-    rows = tuple(prefix[q] ^ prefix[p + 1] for p, q in endpoints)
-    return word, tuple(labels), endpoints, tuple(position_chord), rows
 
 
 # Labels that look alike but differ, and sort in every way _label_key can.

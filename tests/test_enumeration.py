@@ -26,8 +26,10 @@ from gaussreal import (
     write_counterexamples,
 )
 from gaussreal.codec import document_to_json
-from gaussreal.core import MalformedWord
+from gaussreal.core import MalformedWord, _chord_pass, _numerals
 from gaussreal.realizability import _decide
+
+from conftest import _reference_diagram
 
 # Diagrams per chord count, counted up to rotation and reflection.
 CANONICAL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 17, 5: 79, 6: 554, 7: 5283, 8: 65346}
@@ -180,14 +182,14 @@ def test_diagrams_built_from_keys_match_the_word_route(require_non_isolated):
     least_gap = 2 if require_non_isolated else 1
     for n in range(0, 8):
         for key in enumeration._orderly_keys(n, least_gap):
-            form = CanonicalForm(key=key)
-            built, parsed = form.diagram(), diagram_from_word(form.word)
-            assert built == parsed, key
-            assert built.position_chord == parsed.position_chord, key
+            d = CanonicalForm(key=key).diagram()
+            built = (d.word, d.labels, d.endpoints, d.position_chord, d.crossing_rows)
+            tokens = tuple(_numerals(n)[c] for c in key)
+            assert built == _reference_diagram(tokens), key
 
 
 def test_keys_not_numbered_by_first_occurrence_take_the_word_route():
-    for key in ((1, 0, 1, 0), (0, 5, 0, 5), (-1, -1)):
+    for key in ((1, 0, 1, 0), (0, 5, 0, 5), (-1, -1), (0, 2, 1, 2, 0, 1)):
         form = CanonicalForm(key=key)
         assert form.diagram() == diagram_from_word(form.word), key
     with pytest.raises(MalformedWord):
@@ -228,10 +230,12 @@ def _reference_item(diagram, require_non_isolated):
 def test_key_pass_and_sweep_items_match_the_labelled_diagram():
     for n in range(1, 8):
         for key in enumeration._orderly_keys(n):
+            _, _, endpoints, position_chord, rows = _reference_diagram(
+                tuple(_numerals(n)[c] for c in key)
+            )
+            assert key == position_chord
+            assert _chord_pass(key) == (endpoints, rows, 0), key
             diagram = CanonicalForm(key=key).diagram()
-            endpoints, rows = enumeration._key_pass(key)
-            assert tuple(endpoints) == diagram.endpoints, key
-            assert tuple(rows) == interlacement(diagram).rows, key
             for require_non_isolated in (False, True):
                 assert enumeration._sweep_item(
                     key, require_non_isolated
