@@ -17,12 +17,12 @@ from dataclasses import replace
 
 from . import KERNEL_BACKEND, __version__, codec
 from .contours import colorful_chords, exists_colorful_witness, transfer_witness
-from .core import MalformedWord, UnknownChord, diagram_from_word
+from .core import MalformedWord, UnknownChord, _chord_pass, _numerals, diagram_from_word
 from .core import interlacement  # noqa: F401  -- wrapped by perfbench/spans.py
 from .enumeration import (
     SweepConfig,
+    _orderly_keys,
     cross_validate,
-    enumerate_canonical,
     write_counterexamples,
 )
 from .oracle import OracleBudgetExceeded, oracle_realizable
@@ -36,8 +36,14 @@ def _parse_word(text: str):
 
 
 def _emit(args, document: dict, text_lines: list[str]) -> None:
+    """Print the text lines, or write the document to stdout item by item.
+
+    The document gets the bytes of ``json.dumps(document, sort_keys=True,
+    indent=2)`` and a newline; a top-level value that is an iterator is
+    drawn and written one item at a time (see ``codec.write_document``).
+    """
     if args.format == "structured":
-        sys.stdout.write(codec.document_to_json(document))
+        codec.write_document(document, sys.stdout)
     else:
         for line in text_lines:
             print(line)
@@ -82,13 +88,15 @@ def _cmd_check(args) -> int:
                         file=sys.stderr,
                     )
         reports.append(report)
-    # Each format builds only what it prints: documents or headlines.
+    # Each format builds only what it prints: documents or headlines.  Every
+    # word is decided before a byte is written, and a batch's reports are
+    # turned into documents one at a time as they are written.
     doc: dict = {}
     lines: list[str] = []
     if args.format == "structured":
         if args.batch is not None:
             doc = codec.new_document("realizability-batch")
-            doc["reports"] = [r.document() for r in reports]
+            doc["reports"] = (r.document() for r in reports)
         else:
             doc = codec.new_document("realizability")
             doc.update(reports[0].document())
@@ -189,10 +197,16 @@ def _cmd_witness(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.max_chords < 0:
         raise ValueError("max_chords must be at least 0")
+    # Each word is printed straight from its canonical key, labelled "1".."n"
+    # like CanonicalForm.word; only a kink filter reads the crossing rows.
+    least_gap = 2 if args.require_non_isolated else 1
     rows = []
     for n in range(1, args.max_chords + 1):
-        diagrams = enumerate_canonical(n, args.require_non_isolated)
-        rows.append((n, [diagram.word.text() for diagram in diagrams]))
+        keys = _orderly_keys(n, least_gap)
+        if args.require_non_isolated:
+            keys = (key for key in keys if all(_chord_pass(key)[1]))
+        labels = _numerals(n)
+        rows.append((n, [" ".join([labels[c] for c in key]) for key in keys]))
     doc = codec.new_document("enumeration")
     doc["max_chords"] = args.max_chords
     doc["require_non_isolated"] = args.require_non_isolated
@@ -204,7 +218,7 @@ def _cmd_enumerate(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             if args.format == "structured":
-                handle.write(codec.document_to_json(doc))
+                codec.write_document(doc, handle)
             else:
                 handle.write("\n".join(lines) + "\n")
         print("wrote %s" % args.output)
@@ -222,7 +236,7 @@ def _cmd_cross_validate(args) -> int:
     report = cross_validate(cfg)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(codec.document_to_json(report.document()))
+            codec.write_document(report.document(), handle)
     if args.counterexamples:
         batch_path, json_path = write_counterexamples(report, args.counterexamples)
         print("wrote %s and %s" % (batch_path, json_path), file=sys.stderr)

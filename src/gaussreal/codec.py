@@ -20,12 +20,18 @@ Wire formats:
   ASCII-only strings and a trailing newline.  These are exactly the bytes
   of ``json.dumps(document, sort_keys=True, indent=2) + "\n"``, written
   by a small writer of our own, since ``indent`` sends ``json`` to its
-  pure-Python encoder.  Volatile data such as wall-clock time never
-  enters the structured form.
+  pure-Python encoder.  ``write_document`` writes a document to a text
+  stream item by item: a top-level value may be an iterator, which it
+  draws one item at a time and writes as a list, so a batch of reports
+  is never held as one tree or one text.  ``document_to_json`` returns
+  the same bytes as a string.  Volatile data such as wall-clock time
+  never enters the structured form.
 """
 
 from __future__ import annotations
 
+import io
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import ChordDiagram, GaussWord, MalformedWord, diagram_from_word
@@ -96,14 +102,50 @@ def emit_batch(words) -> str:
     return "".join(emit_gauss_code(w) for w in words)
 
 
-def document_to_json(document: dict) -> str:
-    """Deterministic JSON serialisation for structured reports.
+def write_document(document, out) -> None:
+    """Write ``document`` to the text stream ``out`` as deterministic JSON.
 
-    Equal to ``json.dumps(document, sort_keys=True, indent=2) + "\n"``.
+    Writes the bytes of ``json.dumps(document, sort_keys=True, indent=2)``
+    plus a newline, item by item.  The document, or a value of its
+    top-level dict, may be an iterator: it is written as a list, drawing
+    one item at a time and writing each as soon as it is serialised, so
+    only one item's value and text exist at a time ("[]" when empty).
     Takes str, int, bool, None, list, tuple and dict with str keys, and
     raises TypeError on anything else; documents hold no floats.
     """
-    return _json(document, "\n") + "\n"
+    write = out.write
+    if isinstance(document, dict) and document:
+        opening = "{\n  "
+        for key in sorted(document):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            write(opening + _quote(key) + ": ")
+            opening = ",\n  "
+            _write_value(document[key], "\n  ", write)
+        write("\n}\n")
+    else:
+        _write_value(document, "\n", write)
+        write("\n")
+
+
+def _write_value(value, indent: str, write) -> None:
+    """Write ``value``; an iterator is drawn and written item by item."""
+    if not isinstance(value, Iterator):
+        write(_json(value, indent))
+        return
+    inner = indent + "  "
+    opening = "[" + inner
+    for item in value:
+        write(opening + _json(item, inner))
+        opening = "," + inner
+    write("[]" if opening[0] == "[" else indent + "]")
+
+
+def document_to_json(document: dict) -> str:
+    """``write_document``'s bytes as one string."""
+    out = io.StringIO()
+    write_document(document, out)
+    return out.getvalue()
 
 
 def _json(value, indent: str) -> str:

@@ -452,8 +452,8 @@ def write_counterexamples(report: SweepReport, path: str) -> tuple[str, str]:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     doc = codec.new_document("disagreements")
-    doc["entries"] = [d.document() for d in entries]
+    doc["entries"] = (d.document() for d in entries)
     json_path = path + ".json"
     with open(json_path, "w", encoding="utf-8") as handle:
-        handle.write(codec.document_to_json(doc))
+        codec.write_document(doc, handle)
     return path, json_path

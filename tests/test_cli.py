@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
 from gaussreal import KERNEL_BACKEND
 from gaussreal.cli import main
+from gaussreal.realizability import RealizabilityReport
 
 EVEN_NONREAL_6 = "1 2 3 4 5 6 2 1 4 3 6 5"
 EVEN_NONREAL_8 = "0 1 2 3 4 5 6 0 1 7 3 2 5 6 7 4"
@@ -142,6 +145,34 @@ def test_batch_structured_document(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["kind"] == "realizability-batch"
     assert [r["verdict"] for r in doc["reports"]] == ["realizable", "non-realizable"]
+
+
+def test_batch_report_is_written_before_the_next_is_built(tmp_path, monkeypatch):
+    # Each report's document is built only once the previous one is
+    # written, so a batch never holds all its documents or their text.
+    words = ["1 2 1 2", TREFOIL, EVEN_NONREAL_6, "1 1"]
+    batch = tmp_path / "words.txt"
+    batch.write_text("\n".join(words) + "\n")
+    out = io.StringIO()
+    written = []
+    document = RealizabilityReport.document
+
+    def recording(self):
+        written.append(len(out.getvalue()))
+        return document(self)
+
+    monkeypatch.setattr(RealizabilityReport, "document", recording)
+    monkeypatch.setattr(sys, "stdout", out)
+    code = main(["check", "--batch", str(batch), "--format", "structured"])
+    text = out.getvalue()
+    assert code == 1
+    assert [r["word"] for r in json.loads(text)["reports"]] == words
+    # Report i ends at the i-th closing brace at the list's indent.
+    close = "\n    }"
+    ends = [i + len(close) for i in range(len(text)) if text.startswith(close, i)]
+    assert len(ends) == len(written) == len(words)
+    for i in range(1, len(words)):
+        assert written[i] >= ends[i - 1], (i, written, ends)
 
 
 def test_cross_check_attaches_oracle_verdict(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from gaussreal.codec import (
     emit_gauss_code,
     new_document,
     parse_batch,
+    write_document,
 )
 
 
@@ -122,6 +124,19 @@ _documents = st.recursive(
 def test_document_json_equals_indented_sorted_json_dumps(document):
     expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
     assert document_to_json(document) == expected
+    # Streamed: every top-level list drawn from an iterator, empty ones too.
+    streamed = {
+        key: iter(value) if isinstance(value, list) else value
+        for key, value in document.items()
+    }
+    out = io.StringIO()
+    write_document(streamed, out)
+    assert out.getvalue() == expected
+    lists = [value for value in document.values() if isinstance(value, list)]
+    for value in lists:
+        out = io.StringIO()
+        write_document(iter(value), out)
+        assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -130,3 +145,8 @@ def test_document_json_equals_indented_sorted_json_dumps(document):
 def test_document_json_refuses_floats_non_str_keys_and_other_types(document):
     with pytest.raises(TypeError):
         document_to_json(document)
+    with pytest.raises(TypeError):
+        write_document(document, io.StringIO())
+    # A streamed list checks its items as it writes them.
+    with pytest.raises(TypeError):
+        write_document({"a": iter([document])}, io.StringIO())
