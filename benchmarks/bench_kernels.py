@@ -1,10 +1,9 @@
 """Time the hot loops: the enumerator per level, and the rotation search.
 
 * ``canonical_keys`` for every chord count up to the given size,
-  ``CanonicalForm(key).diagram()`` over that level's keys, the sweep's
-  per-key work, ``_sweep_item`` over the same keys, and the sweep's
-  tasks, ``_sweep_shard`` over the level's shards, which generate their
-  keys and decide them.  The enumerator and the key-to-diagram step are
+  ``CanonicalForm(key).diagram()`` over that level's keys, and the
+  sweep's tasks, ``_sweep_shard`` over the level's shards, which
+  generate their keys and decide them.  The enumerator and the key-to-diagram step are
   pure Python on both backends; the sweep searches with the selected
   backend.
 * ``find_planar_rotation`` over every canonical diagram of that size,
@@ -32,7 +31,7 @@ from gaussreal import (
     canonical_keys,
     enumerate_canonical,
 )
-from gaussreal.enumeration import _shards, _sweep_item, _sweep_shard
+from gaussreal.enumeration import _shards, _sweep_shard
 from gaussreal.oracle import _endpoints_flat
 
 try:
@@ -79,7 +78,7 @@ def main() -> None:
         parser.error("--max-chords must be at least 1")
 
     print(
-        "canonical_keys, key -> diagram, _sweep_item, then the shards"
+        "canonical_keys, key -> diagram, then the shards"
         " (%s search), per level:" % KERNEL_BACKEND
     )
     for level in range(1, n + 1):
@@ -87,7 +86,6 @@ def main() -> None:
         built, _ = _time(
             lambda: [CanonicalForm(key).diagram() for key in keys], args.repeat
         )
-        swept, _ = _time(lambda: [_sweep_item(key) for key in keys], args.repeat)
         shards = list(_shards(level))
         sharded, counts = _time(
             lambda: [_sweep_shard(shard) for shard in shards], args.repeat
@@ -95,8 +93,8 @@ def main() -> None:
         if sum(count[1] for count in counts) != len(keys):
             raise SystemExit("the shards of n=%d miss keys" % level)
         print(
-            "  n=%-6d %8.3fs %8.3fs %8.3fs %8.3fs  %d keys, %d shards"
-            % (level, seconds, built, swept, sharded, len(keys), len(shards))
+            "  n=%-6d %8.3fs %8.3fs %8.3fs  %d keys, %d shards"
+            % (level, seconds, built, sharded, len(keys), len(shards))
         )
 
     diagrams = list(enumerate_canonical(n))

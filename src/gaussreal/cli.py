@@ -68,29 +68,31 @@ def _cmd_check(args) -> int:
         diagrams = [diagram for _, diagram in entries]
     else:
         diagrams = [_parse_word(args.word)]
-    reports = []
-    for diagram in diagrams:
-        report = is_realizable(diagram)
-        if args.cross_check:
+    # One stage at a time over the whole batch: the criterion decides every
+    # word, then the oracle checks each report in word order, replacing it
+    # in place, so its warnings come in word order.
+    reports = [is_realizable(diagram) for diagram in diagrams]
+    if args.cross_check:
+        for i, diagram in enumerate(diagrams):
             try:
-                check = _cross_check_of(diagram, report)
+                check = _cross_check_of(diagram, reports[i])
             except OracleBudgetExceeded as exc:
                 print(
                     "warning: oracle skipped on %r: %s"
                     % (diagram.word.text(), exc.args[0]),
                     file=sys.stderr,
                 )
-            else:
-                report = replace(report, cross_check=check)
-                if not check.agrees:
-                    print(
-                        "warning: oracle disagrees on %r" % diagram.word.text(),
-                        file=sys.stderr,
-                    )
-        reports.append(report)
+                continue
+            reports[i] = replace(reports[i], cross_check=check)
+            if not check.agrees:
+                print(
+                    "warning: oracle disagrees on %r" % diagram.word.text(),
+                    file=sys.stderr,
+                )
     # Each format builds only what it prints: documents or headlines.  Every
-    # word is decided before a byte is written, and a batch's reports are
-    # turned into documents one at a time as they are written.
+    # word is decided and cross-checked before a byte is written, and a
+    # batch's reports are turned into documents one at a time as they are
+    # written.
     doc: dict = {}
     lines: list[str] = []
     if args.format == "structured":

@@ -42,14 +42,20 @@ own keys, continuing the fill from its head, where it runs: in a worker
 process if asked.  So no process waits on another's key generation, and
 only shards and counts cross between processes; the counts and
 disagreements are added up in shard order, which keeps the document
-byte-identical for any number of workers.  A shard generates ``_SWEEP_CHUNK`` keys at a time before it
-decides them, since alternating one generated key with one decision
-costs about 3 µs more per key in pure Python.  A key is its diagram's
+byte-identical for any number of workers.
+
+A shard generates ``_SWEEP_CHUNK`` keys at a time and runs each stage
+over the whole batch before the next.  A key is its diagram's
 ``position_chord``, and ``core._chord_pass``, the one pass that every
-diagram is built from, reads off it the endpoints, which the oracle
-searches, and the crossing rows, which the criterion decides on.
-So a key builds a labelled ``ChordDiagram`` only for the pure-Python
-retrace of a spherical mask and for a disagreement.
+diagram is built from, reads off each key the endpoints, which the oracle
+searches, and the crossing rows, which the criterion decides on.  Then
+kinked keys go if asked, the criterion decides every key, and the oracle
+searches every key.  Last, in key order, a labelled ``ChordDiagram`` is
+built only for the pure-Python retrace of a spherical mask and for a
+disagreement.  Batching keys, and then running stage by stage rather
+than key by key, each cut the pure-Python sweep's time (see
+BENCH_shards.json and BENCH_stages.json).
+
 Disagreements are not errors of the harness; they are its most important
 output and are recorded with both witnesses and written out as
 re-runnable batch lines.
@@ -328,35 +334,6 @@ _SWEEP_CHUNK = 256
 _SHARD_HEAD = 3
 
 
-def _sweep_item(
-    key: tuple[int, ...], require_non_isolated: bool = False
-) -> tuple[int, bool, Disagreement | None] | None:
-    """Chord count and criterion verdict of one key's diagram, and any split.
-
-    The shard that generates the key decides it, in a worker process if
-    asked.  ``core._chord_pass`` reads the endpoints and crossing rows
-    off the key, and the key is the diagram's ``position_chord``; the
-    criterion decides on these and the oracle searches the endpoints, so
-    most keys build no ``ChordDiagram``.  With ``require_non_isolated`` a
-    diagram with a kink gives None.  A labelled diagram is built only for
-    a spherical mask, which ``spherical_witness`` retraces in pure Python,
-    and for a split, which carries ``is_realizable``'s labelled report.
-    """
-    endpoints, rows, _ = _chord_pass(key)
-    if require_non_isolated and not all(rows):
-        return None
-    n = len(rows)
-    realizable = _decide(key, endpoints, rows) is None
-    mask = planar_mask(list(itertools.chain.from_iterable(endpoints)), n)
-    if mask < 0 and not realizable:
-        return n, False, None
-    diagram = CanonicalForm(key).diagram()  # labels for the retrace or the split
-    witness = None if mask < 0 else spherical_witness(diagram, mask)
-    if realizable == (witness is not None):
-        return n, realizable, None
-    return n, realizable, Disagreement(diagram.word, is_realizable(diagram), witness)
-
-
 def _shards(n: int, least_gap: int = 1) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The shards of level n whose least gap is at least ``least_gap``.
 
@@ -379,23 +356,43 @@ def _sweep_shard(
 ) -> tuple[int, int, int, list[Disagreement]]:
     """``(n, total, realizable, splits)`` over the keys of one shard.
 
-    The shard generates its keys where it runs and decides them with
-    ``_sweep_item`` in batches of ``_SWEEP_CHUNK``.
+    The shard generates its keys where it runs and decides them in
+    batches of ``_SWEEP_CHUNK``, one stage at a time over the whole
+    batch: every ``_chord_pass``, the kink filter under
+    ``require_non_isolated``, every ``_decide``, every ``planar_mask``.
+    Last, in key order, a labelled ``ChordDiagram`` is built only for a
+    spherical mask, which ``spherical_witness`` retraces, and for a
+    split, which carries ``is_realizable``'s labelled report.
     """
     n, gap, head = shard
     total = realizable = 0
     splits = []
     keys = _keys_with_gap(n, gap, head)
     while batch := list(itertools.islice(keys, _SWEEP_CHUNK)):
-        for key in batch:
-            result = _sweep_item(key, require_non_isolated)
-            if result is None:
+        passes = [_chord_pass(key) for key in batch]
+        if require_non_isolated:
+            kept = [i for i, (_, rows, _) in enumerate(passes) if all(rows)]
+            batch = [batch[i] for i in kept]
+            passes = [passes[i] for i in kept]
+        verdicts = [
+            _decide(key, endpoints, rows) is None
+            for key, (endpoints, rows, _) in zip(batch, passes)
+        ]
+        masks = [
+            planar_mask(list(itertools.chain.from_iterable(endpoints)), n)
+            for endpoints, _, _ in passes
+        ]
+        total += len(batch)
+        realizable += sum(verdicts)
+        for key, verdict, mask in zip(batch, verdicts, masks):
+            if mask < 0 and not verdict:
                 continue
-            _, verdict, split = result
-            total += 1
-            realizable += verdict
-            if split is not None:
-                splits.append(split)
+            diagram = CanonicalForm(key).diagram()  # labels for the retrace or split
+            witness = None if mask < 0 else spherical_witness(diagram, mask)
+            if verdict != (witness is not None):
+                splits.append(
+                    Disagreement(diagram.word, is_realizable(diagram), witness)
+                )
     return n, total, realizable, splits
 
 

@@ -85,11 +85,14 @@ the mask is the same.
 The worst case is still exponential: before it answers -1, the search
 must prune every partial map of genus 0, and the hardest inputs for
 that, large words that pass the even condition and are no plane curve,
-are not yet measured.  Sums of small diagrams stay cheap, since each
-summand is its own component of the crossing graph and joins as one
-connected piece: ``1 2 1 2`` with nineteen trefoil summands
-``a b c a b c`` (59 chords) visits 117 nodes, where an index-order
-search doubled its visits per summand (1,273 for seven summands).
+are measured only in part.  The oracle takes every diagram that fits the
+kernels' 63-bit mask; polygon words of 25 to 60 chords and their one-swap
+mutants take a few milliseconds each in pure Python.  Sums of small
+diagrams stay cheap, since each summand is its own component of the
+crossing graph and joins as one connected piece: ``1 2 1 2`` with
+nineteen trefoil summands ``a b c a b c`` (59 chords) visits 117 nodes,
+where an index-order search doubled its visits per summand (1,273 for
+seven summands).
 
 Dart numbering (same conventions as the kernels): edge i runs from circle
 position i to position i+1 (mod 2n); dart 2i is its start end, dart 2i+1
@@ -102,13 +105,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from . import _kernels
+from . import _kernels, _pure
 from .core import ChordDiagram
 
-# The genus-pruned search is still exponential in the worst case, when few
-# nodes prune; past this many chords it might not finish in sensible time,
-# so refuse loudly instead.
-MAX_ORACLE_CHORDS = 24
+# The kernels' limit, the width of their handedness mask; larger diagrams
+# are refused loudly.  Below it the search is still exponential in the worst
+# case (see the module docstring).
+MAX_ORACLE_CHORDS = _pure.MAX_CHORDS
 
 
 class EmptyDiagram(ValueError):

@@ -13,8 +13,16 @@ from gaussreal.realizability import RealizabilityReport
 EVEN_NONREAL_6 = "1 2 3 4 5 6 2 1 4 3 6 5"
 EVEN_NONREAL_8 = "0 1 2 3 4 5 6 0 1 7 3 2 5 6 7 4"
 TREFOIL = "1 2 3 1 2 3"
-# Every chord crosses the other 24: realizable, one chord past the oracle.
-STAR_25 = " ".join([str(c) for c in range(25)] * 2)
+# Every chord crosses the other 63, an odd number: non-realizable, and one
+# chord past the oracle.
+STAR_64 = " ".join([str(c) for c in range(64)] * 2)
+# Passes the even condition on itself and on every smoothing, yet no
+# rotation system embeds it: the one split of the n = 9 sweep.
+NON_PLANE_9 = "1 2 3 4 5 1 6 7 2 3 8 9 7 6 4 5 9 8"
+STAR_64_SKIPPED = (
+    "warning: oracle skipped on '%s': rotation search over 2**64"
+    " assignments refused (limit n <= 63)\n" % STAR_64
+)
 
 
 def _run(capsys, *argv):
@@ -201,7 +209,7 @@ def test_cross_check_on_a_realizable_word(capsys):
 
 def test_cross_check_skips_the_oracle_per_word_past_its_limit(tmp_path, capsys):
     batch = tmp_path / "words.txt"
-    batch.write_text("%s\n%s\n1 2 1 2\n" % (TREFOIL, STAR_25))
+    batch.write_text("%s\n%s\n1 2 1 2\n" % (TREFOIL, STAR_64))
     code, out, err = _run(
         capsys,
         "check",
@@ -213,23 +221,49 @@ def test_cross_check_skips_the_oracle_per_word_past_its_limit(tmp_path, capsys):
     )
     assert code == 1
     reports = json.loads(out)["reports"]
-    assert [r["word"] for r in reports] == [TREFOIL, STAR_25, "1 2 1 2"]
+    assert [r["word"] for r in reports] == [TREFOIL, STAR_64, "1 2 1 2"]
     assert [r["verdict"] for r in reports] == [
         "realizable",
-        "realizable",
+        "non-realizable",
         "non-realizable",
     ]
     assert [r["cross_check"] is None for r in reports] == [False, True, False]
-    assert err == (
-        "warning: oracle skipped on '%s': rotation search over 2**25"
-        " assignments refused (limit n <= 24)\n" % STAR_25
+    assert err == STAR_64_SKIPPED
+
+
+def test_cross_check_warnings_come_in_word_order(tmp_path, capsys):
+    # The criterion decides the whole batch before the oracle runs; the
+    # oracle's warnings still follow the words.
+    words = [NON_PLANE_9, STAR_64, TREFOIL, NON_PLANE_9]
+    batch = tmp_path / "words.txt"
+    batch.write_text("".join(word + "\n" for word in words))
+    code, out, err = _run(
+        capsys,
+        "check",
+        "--batch",
+        str(batch),
+        "--cross-check",
+        "--format",
+        "structured",
     )
+    assert code == 1
+    disagrees = "warning: oracle disagrees on '%s'\n" % NON_PLANE_9
+    assert err == disagrees + STAR_64_SKIPPED + disagrees
+    reports = json.loads(out)["reports"]
+    assert [r["word"] for r in reports] == words
+    assert [r["cross_check"] is None for r in reports] == [False, True, False, False]
+    assert [r["cross_check"] and r["cross_check"]["agrees"] for r in reports] == [
+        False,
+        None,
+        True,
+        False,
+    ]
 
 
 def test_oracle_past_its_limit_exits_two(capsys):
-    code, out, err = _run(capsys, "oracle", STAR_25)
+    code, out, err = _run(capsys, "oracle", STAR_64)
     assert (code, out) == (2, "")
-    assert err.startswith("error: rotation search over 2**25")
+    assert err.startswith("error: rotation search over 2**64")
 
 
 def test_malformed_word_exits_two(capsys):

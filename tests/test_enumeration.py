@@ -207,15 +207,28 @@ def test_malformed_keys_raise_the_word_route_error(key):
     assert str(raised.value) == str(expected.value)
 
 
+def _shard_keys(shard):
+    n, gap, head = shard
+    return list(enumeration._keys_with_gap(n, gap, head))
+
+
 def test_sweep_items_drop_kinked_diagrams_only_when_asked():
-    for key in enumeration._orderly_keys(5):
-        kinked = bool(interlacement(CanonicalForm(key=key).diagram()).isolated())
-        assert enumeration._sweep_item(key)[0] == 5
-        assert (enumeration._sweep_item(key, True) is None) == kinked, key
+    for n in range(1, 6):
+        for shard in enumeration._shards(n):
+            keys = _shard_keys(shard)
+            kinked = [
+                bool(interlacement(CanonicalForm(key=key).diagram()).isolated())
+                for key in keys
+            ]
+            assert enumeration._sweep_shard(shard)[:2] == (n, len(keys)), shard
+            assert enumeration._sweep_shard(shard, True)[:2] == (
+                n,
+                kinked.count(False),
+            ), shard
 
 
 def _reference_item(diagram, require_non_isolated):
-    """``_sweep_item`` spelled out on the labelled diagram of its key."""
+    """One key's share of ``_sweep_shard``, spelled out on its labelled diagram."""
     rows = interlacement(diagram).rows
     if require_non_isolated and not all(rows):
         return None
@@ -235,11 +248,20 @@ def test_key_pass_and_sweep_items_match_the_labelled_diagram():
             )
             assert key == position_chord
             assert _chord_pass(key) == (endpoints, rows, 0), key
-            diagram = CanonicalForm(key=key).diagram()
+        for shard in enumeration._shards(n):
+            diagrams = [CanonicalForm(key=key).diagram() for key in _shard_keys(shard)]
             for require_non_isolated in (False, True):
-                assert enumeration._sweep_item(
-                    key, require_non_isolated
-                ) == _reference_item(diagram, require_non_isolated), key
+                items = [_reference_item(d, require_non_isolated) for d in diagrams]
+                items = [item for item in items if item is not None]
+                expected = (
+                    n,
+                    len(items),
+                    sum(realizable for _, realizable, _ in items),
+                    [split for _, _, split in items if split is not None],
+                )
+                assert (
+                    enumeration._sweep_shard(shard, require_non_isolated) == expected
+                ), (shard, require_non_isolated)
 
 
 def test_map_draws_items_only_as_results_are_taken():

@@ -192,7 +192,7 @@ def test_witness_retraces_to_the_same_faces():
 
 
 def test_budget_guard_refuses_huge_searches():
-    curls = " ".join("%d %d" % (c, c) for c in range(1, 26))
+    curls = " ".join("%d %d" % (c, c) for c in range(1, 65))
     with pytest.raises(OracleBudgetExceeded):
         oracle_realizable(diagram_from_word(curls))
 
